@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .alliances import DAFInstance
@@ -26,7 +25,14 @@ from .errors import (
     UnknownChord,
 )
 from .graph import Graph, RoleKind, RoleTag
-from .reductions import _ORACLE_LIMIT, GadgetMap, _roles_of
+from .reductions import (
+    _ORACLE_LIMIT,
+    GadgetMap,
+    _roles_of,
+    first_subset,
+    read_budget,
+    read_records,
+)
 
 Label = Hashable
 
@@ -209,12 +215,10 @@ def solve_ds_bruteforce(inst: DSCircleInstance) -> tuple[Label, ...] | None:
         raise TooLarge(f"DS brute force guarded at n <= {_ORACLE_LIMIT}")
     g = intersection_graph(d)
     chords = d.chords()
-    for size in range(0, min(inst.k, g.n) + 1):
-        for subset in combinations(range(g.n), size):
-            chosen = set(subset)
-            if all(v in chosen or g.neighbors(v) & chosen for v in g.vertices()):
-                return tuple(chords[i] for i in subset)
-    return None
+    found = first_subset(g.n, inst.k, lambda chosen: all(
+        v in chosen or g.neighbors(v) & chosen for v in g.vertices()
+    ))
+    return None if found is None else tuple(chords[i] for i in found)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +482,9 @@ def write_diagram(d: ChordDiagram) -> str:
 
 
 def _parse_tokens(tokens: list[str]) -> tuple[Label, ...]:
-    if all(tok.lstrip("-").isdigit() for tok in tokens):
+    # Integer labels only when every token is a plain, optionally negative
+    # decimal, so int() cannot fail; a token such as "--1" stays a string.
+    if all(tok.removeprefix("-").isdecimal() for tok in tokens):
         return tuple(int(tok) for tok in tokens)
     return tuple(tokens)
 
@@ -498,28 +504,13 @@ def write_ds_instance(inst: DSCircleInstance) -> str:
 
 
 def parse_ds_instance(text: str) -> DSCircleInstance:
-    d_line: list[str] | None = None
-    k: int | None = None
-    for raw in text.splitlines():
-        fields = raw.split()
-        if not fields:
-            continue
-        if fields[0] == "d":
-            if d_line is not None:
-                raise ParseError("repeated diagram line")
-            d_line = fields[1:]
-        elif fields[0] == "k":
-            if len(fields) != 2:
-                raise ParseError("expected 'k <int>'")
-            try:
-                k = int(fields[1])
-            except ValueError as exc:
-                raise ParseError("bad budget") from exc
-        else:
-            raise ParseError(f"unknown record '{fields[0]}'")
-    if d_line is None or k is None:
+    records, rest = read_records(text, ("d", "k"))
+    stray = [raw.split()[0] for raw in rest if raw.strip()]
+    if stray:
+        raise ParseError(f"unknown record '{stray[0]}'")
+    if "d" not in records or "k" not in records:
         raise ParseError("DS instance needs a 'd' line and a 'k' line")
     try:
-        return DSCircleInstance(ChordDiagram(_parse_tokens(d_line)), k)
+        return DSCircleInstance(ChordDiagram(_parse_tokens(records["d"])), read_budget(records))
     except (MalformedDiagram, InvalidInstance) as exc:
         raise ParseError(str(exc)) from exc

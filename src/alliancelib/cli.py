@@ -13,54 +13,16 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .alliances import (
-    DAInstance,
-    brute_force_min_da,
-    is_defensive_alliance,
-    solve_da,
-)
-from .circle import (
-    ds_forward_certificate,
-    ds_to_daf,
-    parse_ds_instance,
-    solve_ds_bruteforce,
-    write_diagram,
-    write_ds_instance,
-)
+from .alliances import DAInstance, is_defensive_alliance, solve_da
+from .circle import write_diagram
 from .errors import AllianceError, ParseError
-from .generators import gen_daf, gen_ds_circle, gen_mrss, gen_rbds, gen_vc
-from .graph import parse_graph, write_graph
-from .reductions import (
-    daf_to_da,
-    mrss_forward_certificate,
-    mrss_to_da,
-    parse_daf,
-    parse_mrss,
-    parse_rbds,
-    parse_vc,
-    rbds_forward_certificate,
-    rbds_to_da,
-    solve_mrss_bruteforce,
-    solve_rbds_bruteforce,
-    solve_vc_bruteforce,
-    vc_forward_certificate,
-    vc_to_da,
-    write_daf,
-    write_mrss,
-    write_rbds,
-    write_vc,
-)
+from .graph import parse_graph, parse_id_list, write_graph
+from .kinds import REDUCTIONS, certifies, target_budget, target_forbidden
 
-REDUCE_KINDS = ("mrss", "rbds", "vc", "ds-circle", "daf")
-
-
-def _parse_id_list(spec: str | None) -> frozenset[int]:
-    if not spec:
-        return frozenset()
-    try:
-        return frozenset(int(tok) for tok in spec.replace(",", " ").split())
-    except ValueError as exc:
-        raise ParseError(f"bad id list {spec!r}") from exc
+# The commands reach every compiler through REDUCTIONS; these names stay bound
+# here because perfbench's traced mode wraps them on this module by attribute.
+from .circle import ds_to_daf, parse_ds_instance  # noqa: F401
+from .reductions import mrss_to_da, parse_mrss, parse_rbds, parse_vc, rbds_to_da, vc_to_da  # noqa: F401
 
 
 def _read(path: str) -> str:
@@ -72,8 +34,8 @@ def _read(path: str) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    members = _parse_id_list(args.set)
-    forbidden = _parse_id_list(args.forbidden)
+    members = parse_id_list(args.set, g.n)
+    forbidden = parse_id_list(args.forbidden, g.n)
     for v in sorted(members):
         inside = g.deg_in(v, members)
         outside = g.degree(v) - inside
@@ -89,7 +51,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    forbidden = _parse_id_list(args.forbidden)
+    forbidden = parse_id_list(args.forbidden, g.n)
     witness = solve_da(DAInstance(g, args.budget), forbidden)
     if args.format == "json":
         payload = {
@@ -105,128 +67,50 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if witness is not None else 1
 
 
-def _compile(kind: str, text: str):
-    """Run one reduction; returns (DA-or-DAF instance, gadget map, diagram|None)."""
-    if kind == "mrss":
-        da, gm = mrss_to_da(parse_mrss(text))
-        return da, gm, None
-    if kind == "rbds":
-        da, gm = rbds_to_da(parse_rbds(text))
-        return da, gm, None
-    if kind == "vc":
-        da, gm = vc_to_da(parse_vc(text))
-        return da, gm, None
-    if kind == "ds-circle":
-        daf, diagram, gm = ds_to_daf(parse_ds_instance(text))
-        return daf, gm, diagram
-    if kind == "daf":
-        da, gm = daf_to_da(parse_daf(text))
-        return da, gm, None
-    raise ParseError(f"unknown kind {kind!r}")
-
-
 def cmd_reduce(args: argparse.Namespace) -> int:
-    inst, gm, diagram = _compile(args.kind, _read(args.input))
-    budget = inst.r if hasattr(inst, "r") else inst.k
+    red = REDUCTIONS[args.kind]
+    target, gm, diagram = red.compile(red.parse(_read(args.input)))
+    budget = target_budget(target)
+    forbidden = target_forbidden(target)
 
     def emit(suffix: str, text: str) -> str:
         path = Path(args.out + suffix)
         path.write_text(text)
         return path.name
 
-    graph_text = f"c budget {budget}\n" + write_graph(inst.graph)
+    graph_text = f"c budget {budget}\n" + write_graph(target.graph)
     written = [
         emit(".graph", graph_text),
         emit(".budget", f"{budget}\n"),
         emit(".gadgets.json", gm.to_json()),
     ]
-    if getattr(inst, "forbidden", None):
-        forb = " ".join(str(v) for v in sorted(inst.forbidden))
-        written.append(emit(".forbidden", forb + "\n"))
+    if forbidden:
+        written.append(emit(".forbidden", " ".join(map(str, sorted(forbidden))) + "\n"))
     if diagram is not None:
         written.append(emit(".diagram", write_diagram(diagram)))
     print(
-        f"{args.kind}: n={inst.graph.n} m={inst.graph.m} budget={budget} -> "
+        f"{args.kind}: n={target.graph.n} m={target.graph.m} budget={budget} -> "
         + ", ".join(written)
     )
     return 0
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    text = _read(args.input)
-    kind = args.kind
-    if kind == "mrss":
-        inst = parse_mrss(text)
-        sol = (
-            sorted(_parse_id_list(args.solution))
-            if args.solution is not None
-            else solve_mrss_bruteforce(inst)
-        )
-        if sol is None:
-            print("source infeasible: nothing to certify")
-            return 1
-        da, gm = mrss_to_da(inst)
-        cert = mrss_forward_certificate(gm, sol)
-    elif kind == "rbds":
-        inst = parse_rbds(text)
-        sol = (
-            sorted(_parse_id_list(args.solution))
-            if args.solution is not None
-            else solve_rbds_bruteforce(inst)
-        )
-        if sol is None:
-            print("source infeasible: nothing to certify")
-            return 1
-        da, gm = rbds_to_da(inst)
-        cert = rbds_forward_certificate(gm, sol)
-    elif kind == "vc":
-        inst = parse_vc(text)
-        sol = (
-            sorted(_parse_id_list(args.solution))
-            if args.solution is not None
-            else solve_vc_bruteforce(inst)
-        )
-        if sol is None:
-            print("source infeasible: nothing to certify")
-            return 1
-        da, gm = vc_to_da(inst)
-        cert = vc_forward_certificate(gm, sol)
-    elif kind == "ds-circle":
-        inst = parse_ds_instance(text)
-        if args.solution is not None:
-            labels = inst.diagram.chords()
-            sol = [lab for lab in labels if str(lab) in args.solution.replace(",", " ").split()]
-        else:
-            sol = solve_ds_bruteforce(inst)
-        if sol is None:
-            print("source infeasible: nothing to certify")
-            return 1
-        da, _, gm = ds_to_daf(inst)
-        cert = ds_forward_certificate(gm, sol)
-    elif kind == "daf":
-        inst = parse_daf(text)
-        if args.solution is not None:
-            sol = sorted(_parse_id_list(args.solution))
-        else:
-            found = brute_force_min_da(
-                inst.graph, forbidden=inst.forbidden, max_size=inst.r
-            )
-            sol = list(found.vertices) if found else None
-        if sol is None:
-            print("source infeasible: nothing to certify")
-            return 1
-        da, gm = daf_to_da(inst)
-        cert = frozenset(sol)
+    red = REDUCTIONS[args.kind]
+    inst = red.parse(_read(args.input))
+    if args.solution is None:
+        sol = red.solve_source(inst)
     else:
-        raise ParseError(f"unknown kind {kind!r}")
-
-    budget = da.r if hasattr(da, "r") else da.k
-    valid = len(cert) <= budget and is_defensive_alliance(da.graph, cert)
-    if hasattr(da, "forbidden") and cert & da.forbidden:
-        valid = False
+        sol = red.parse_solution(inst, args.solution)
+    if sol is None:
+        print("source infeasible: nothing to certify")
+        return 1
+    target, gm, _ = red.compile(inst)
+    cert = red.forward(gm, sol)
+    valid = certifies(target, cert)
     print(
-        f"{kind}: solution={list(sol)} certificate size={len(cert)} "
-        f"budget={budget} valid={'yes' if valid else 'NO'}"
+        f"{args.kind}: solution={list(sol)} certificate size={len(cert)} "
+        f"budget={target_budget(target)} valid={'yes' if valid else 'NO'}"
     )
     return 0 if valid else 1
 
@@ -240,24 +124,10 @@ def cmd_equiv_test(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    red = REDUCTIONS[args.kind]
     rng = random.Random(args.seed)
-    kind = args.kind
-    if kind == "mrss":
-        text = write_mrss(
-            gen_mrss(rng, max_dim=args.dim, max_vectors=args.max_n, max_entry=args.max_entry)
-        )
-    elif kind == "rbds":
-        text = write_rbds(
-            gen_rbds(rng, max_terminals=args.max_n, max_sources=args.max_n, density=args.density)
-        )
-    elif kind == "vc":
-        text = write_vc(gen_vc(rng, max_n=args.max_n))
-    elif kind == "ds-circle":
-        text = write_ds_instance(gen_ds_circle(rng, max_chords=args.max_n))
-    elif kind == "daf":
-        text = write_daf(gen_daf(rng, max_n=args.max_n))
-    else:
-        raise ParseError(f"unknown kind {kind!r}")
+    inst = red.gen(rng, args.max_n, dim=args.dim, max_entry=args.max_entry, density=args.density)
+    text = red.write(inst)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -286,19 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="compile a source instance into an alliance instance")
-    p.add_argument("kind", choices=REDUCE_KINDS)
+    p.add_argument("kind", choices=REDUCTIONS)
     p.add_argument("input")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("certify", help="build and verify a forward certificate")
-    p.add_argument("kind", choices=REDUCE_KINDS)
+    p.add_argument("kind", choices=REDUCTIONS)
     p.add_argument("input")
     p.add_argument("--solution", help="source solution (ids/labels); brute-forced if omitted")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("equiv-test", help="randomized forward/iff verification stream")
-    p.add_argument("kind", choices=harness.KINDS)
+    p.add_argument("kind", choices=REDUCTIONS)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
@@ -306,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv_test)
 
     p = sub.add_parser("gen", help="write a reproducible random instance")
-    p.add_argument("kind", choices=REDUCE_KINDS)
+    p.add_argument("kind", choices=REDUCTIONS)
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
     p.add_argument("--max-n", type=int, default=4, help="size bound (vectors/parts/vertices/chords)")

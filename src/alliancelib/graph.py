@@ -323,3 +323,18 @@ def parse_graph(text: str) -> Graph:
     if edge_lines != m:
         raise ParseError(f"header promises {m} edges, file has {edge_lines}")
     return g.freeze()
+
+
+def parse_id_list(spec: str | None, n: int) -> frozenset[int]:
+    """Comma- or space-separated ids, each in range(n): vertices of an n-vertex
+    graph, or the items of a source instance."""
+    if not spec:
+        return frozenset()
+    try:
+        ids = frozenset(int(tok) for tok in spec.replace(",", " ").split())
+    except ValueError as exc:
+        raise ParseError(f"bad id list {spec!r}") from exc
+    bad = sorted(v for v in ids if not 0 <= v < n)
+    if bad:
+        raise ParseError(f"ids {bad} out of range (expected 0 <= id < {n})")
+    return ids

@@ -3,10 +3,12 @@
 For each generated source instance the driver solves the source by brute
 force; on a yes it compiles the reduction, builds the proof's forward
 certificate and checks it against the alliance predicate within the budget.
-Only the daf kind has desk-scale targets, so only there the target itself is
-brute-forced and the full iff is asserted; everywhere else a no-instance is
-reported as skipped (the reverse direction of those reductions lives in the
-extraction maps, exercised by the test suite, not here).
+Where the target fits the brute-force guard it is decided too and the full
+iff is asserted.  Only kinds whose generated targets are that small (the
+`small_targets` fact on their record: today daf) are compiled on a source
+no-instance; everywhere else such a case is reported as skipped (the reverse
+direction of those reductions lives in the extraction maps, exercised by the
+test suite, not here).
 """
 
 from __future__ import annotations
@@ -16,29 +18,12 @@ import json
 import random
 from dataclasses import asdict, dataclass
 
-from .alliances import brute_force_min_da, is_daf_feasible, is_defensive_alliance
-from .circle import ds_forward_certificate, ds_to_daf, solve_ds_bruteforce, write_ds_instance
+from .alliances import brute_force_min_da
 from .errors import BadParams
-from .generators import gen_daf, gen_ds_circle, gen_mrss, gen_rbds, gen_vc
-from .reductions import (
-    daf_to_da,
-    mrss_forward_certificate,
-    mrss_to_da,
-    rbds_forward_certificate,
-    rbds_to_da,
-    solve_mrss_bruteforce,
-    solve_rbds_bruteforce,
-    solve_vc_bruteforce,
-    vc_forward_certificate,
-    vc_to_da,
-    write_daf,
-    write_mrss,
-    write_rbds,
-    write_vc,
-)
+from .kinds import REDUCTIONS, certifies, target_budget, target_forbidden
 
 DEFAULT_SEED = 20250810
-KINDS = ("mrss", "rbds", "vc", "ds-circle", "daf")
+KINDS = tuple(REDUCTIONS)
 DEFAULT_COUNTS = {"mrss": 25, "rbds": 100, "vc": 100, "ds-circle": 50, "daf": 200}
 DEFAULT_MAX_N = {"mrss": 3, "rbds": 4, "vc": 8, "ds-circle": 3, "daf": 6}
 
@@ -71,86 +56,33 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _forward_case(case: int, kind: str, digest: str, yes: bool, valid: bool | None, budget: int | None) -> EquivReport:
-    if not yes:
-        return EquivReport(case, kind, digest, False, None, budget, None, "skipped-too-large")
-    verdict = "forward-ok" if valid else "forward-fail"
-    return EquivReport(case, kind, digest, True, valid, budget, None, verdict)
+def _check_kind(kind: str) -> None:
+    if kind not in REDUCTIONS:
+        raise BadParams(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
 
 def run_equiv_case(kind: str, case: int, rng: random.Random, max_n: int) -> EquivReport:
-    if kind == "mrss":
-        inst = gen_mrss(rng, max_vectors=max_n)
-        digest = _digest(write_mrss(inst))
-        sol = solve_mrss_bruteforce(inst)
-        if sol is None:
-            return _forward_case(case, kind, digest, False, None, None)
-        da, gm = mrss_to_da(inst)
-        cert = mrss_forward_certificate(gm, sol)
-        valid = len(cert) <= da.k and is_defensive_alliance(da.graph, cert)
-        return _forward_case(case, kind, digest, True, valid, da.k)
-
-    if kind == "rbds":
-        inst = gen_rbds(rng, max_terminals=max_n, max_sources=max_n)
-        digest = _digest(write_rbds(inst))
-        sol = solve_rbds_bruteforce(inst)
-        if sol is None:
-            return _forward_case(case, kind, digest, False, None, None)
-        da, gm = rbds_to_da(inst)
-        cert = rbds_forward_certificate(gm, sol)
-        valid = len(cert) <= da.k and is_defensive_alliance(da.graph, cert)
-        return _forward_case(case, kind, digest, True, valid, da.k)
-
-    if kind == "vc":
-        inst = gen_vc(rng, max_n=max_n)
-        digest = _digest(write_vc(inst))
-        sol = solve_vc_bruteforce(inst)
-        if sol is None:
-            return _forward_case(case, kind, digest, False, None, None)
-        da, gm = vc_to_da(inst)
-        cert = vc_forward_certificate(gm, sol)
-        valid = len(cert) <= da.k and is_defensive_alliance(da.graph, cert)
-        return _forward_case(case, kind, digest, True, valid, da.k)
-
-    if kind == "ds-circle":
-        inst = gen_ds_circle(rng, max_chords=max_n)
-        digest = _digest(write_ds_instance(inst))
-        sol = solve_ds_bruteforce(inst)
-        if sol is None:
-            return _forward_case(case, kind, digest, False, None, None)
-        daf, _, gm = ds_to_daf(inst)
-        cert = ds_forward_certificate(gm, sol)
-        valid = is_daf_feasible(daf, cert)
-        return _forward_case(case, kind, digest, True, valid, daf.r)
-
-    if kind == "daf":
-        inst = gen_daf(rng, max_n=max_n)
-        digest = _digest(write_daf(inst))
-        src = brute_force_min_da(inst.graph, forbidden=inst.forbidden, max_size=inst.r)
-        da, _ = daf_to_da(inst)
-        valid = None
-        if src is not None:
-            valid = len(src.vertices) <= da.k and is_defensive_alliance(
-                da.graph, src.as_set
-            )
-            if not valid:
-                return EquivReport(case, kind, digest, True, False, da.k, None, "forward-fail")
-        if da.graph.n > _TARGET_BRUTE_LIMIT:
-            return _forward_case(case, kind, digest, src is not None, valid, da.k)
-        tgt = brute_force_min_da(da.graph, max_size=da.k)
-        agree = (src is not None) == (tgt is not None)
-        return EquivReport(
-            case,
-            kind,
-            digest,
-            src is not None,
-            valid,
-            da.k,
-            tgt is not None,
-            "iff-ok" if agree else "iff-fail",
-        )
-
-    raise BadParams(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
+    _check_kind(kind)
+    red = REDUCTIONS[kind]
+    inst = red.gen(rng, max_n)
+    digest = _digest(red.write(inst))
+    sol = red.solve_source(inst)
+    yes = sol is not None
+    if not yes and not red.small_targets:
+        return EquivReport(case, kind, digest, False, None, None, None, "skipped-too-large")
+    target, gm, _ = red.compile(inst)
+    budget = target_budget(target)
+    valid = certifies(target, red.forward(gm, sol)) if yes else None
+    if valid is False:
+        return EquivReport(case, kind, digest, True, False, budget, None, "forward-fail")
+    if target.graph.n > _TARGET_BRUTE_LIMIT:
+        verdict = "forward-ok" if yes else "skipped-too-large"
+        return EquivReport(case, kind, digest, yes, valid, budget, None, verdict)
+    found = brute_force_min_da(
+        target.graph, forbidden=target_forbidden(target), max_size=budget
+    )
+    verdict = "iff-ok" if yes == (found is not None) else "iff-fail"
+    return EquivReport(case, kind, digest, yes, valid, budget, found is not None, verdict)
 
 
 @dataclass(frozen=True)
@@ -177,8 +109,7 @@ def run_equiv_test(
     max_n: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> tuple[list[EquivReport], EquivSummary]:
-    if kind not in KINDS:
-        raise BadParams(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
+    _check_kind(kind)
     count = DEFAULT_COUNTS[kind] if count is None else count
     max_n = DEFAULT_MAX_N[kind] if max_n is None else max_n
     if count < 0:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .alliances import DAFInstance, DAInstance
-from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge
+from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, UnknownVertex
 from .graph import Graph, RoleKind, RoleTag, parse_graph, write_graph
 
 _ORACLE_LIMIT = 20
@@ -94,20 +94,26 @@ class MRSSInstance:
             raise InvalidInstance("target entries must be non-negative")
 
 
+def first_subset(
+    n: int, max_size: int, ok: Callable[[set[int]], bool]
+) -> tuple[int, ...] | None:
+    """Lexicographically first subset of range(n) satisfying `ok`, trying
+    sizes 0..max_size in order: the search behind every source oracle."""
+    for size in range(min(max_size, n) + 1):
+        for subset in combinations(range(n), size):
+            if ok(set(subset)):
+                return subset
+    return None
+
+
 def solve_mrss_bruteforce(inst: MRSSInstance) -> tuple[int, ...] | None:
     """Lexicographically first subset of size <= kprime with sum >= target."""
     n = len(inst.vectors)
     if n > _ORACLE_LIMIT:
         raise TooLarge(f"MRSS brute force guarded at n <= {_ORACLE_LIMIT}")
-    for size in range(0, min(inst.kprime, n) + 1):
-        for subset in combinations(range(n), size):
-            total = [0] * inst.k
-            for i in subset:
-                for d in range(inst.k):
-                    total[d] += inst.vectors[i][d]
-            if all(total[d] >= inst.target[d] for d in range(inst.k)):
-                return subset
-    return None
+    return first_subset(n, inst.kprime, lambda chosen: all(
+        sum(inst.vectors[i][d] for i in chosen) >= t for d, t in enumerate(inst.target)
+    ))
 
 
 def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
@@ -345,12 +351,7 @@ def solve_rbds_bruteforce(inst: RBDSInstance) -> tuple[int, ...] | None:
     nbrs = [set() for _ in range(inst.n_terminals)]
     for t, s in inst.edges:
         nbrs[t].add(s)
-    for size in range(0, min(inst.k, inst.n_sources) + 1):
-        for subset in combinations(range(inst.n_sources), size):
-            chosen = set(subset)
-            if all(nb & chosen for nb in nbrs):
-                return subset
-    return None
+    return first_subset(inst.n_sources, inst.k, lambda chosen: all(nb & chosen for nb in nbrs))
 
 
 def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
@@ -479,12 +480,9 @@ def solve_vc_bruteforce(inst: VC3Instance) -> tuple[int, ...] | None:
     if g.n > _ORACLE_LIMIT:
         raise TooLarge(f"VC brute force guarded at n <= {_ORACLE_LIMIT}")
     edges = list(g.edges())
-    for size in range(0, min(inst.k, g.n) + 1):
-        for subset in combinations(range(g.n), size):
-            chosen = set(subset)
-            if all(u in chosen or v in chosen for u, v in edges):
-                return subset
-    return None
+    return first_subset(
+        g.n, inst.k, lambda chosen: all(u in chosen or v in chosen for u, v in edges)
+    )
 
 
 def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:
@@ -678,29 +676,43 @@ def parse_rbds(text: str) -> RBDSInstance:
         raise ParseError(str(exc)) from exc
 
 
-def _split_budget_lines(text: str) -> tuple[str, int, list[int] | None]:
-    """Separate graph lines from the trailing 'k' and optional 'f' records."""
-    graph_lines: list[str] = []
-    k: int | None = None
-    forb: list[int] | None = None
+def read_records(text: str, tags: tuple[str, ...]) -> tuple[dict[str, list[str]], list[str]]:
+    """Pull the once-per-file records whose first field is in `tags` out of
+    `text`: their remaining fields by tag, and the other lines in order.  A
+    repeated record is an error, never a silent overwrite."""
+    records: dict[str, list[str]] = {}
+    rest: list[str] = []
     for raw in text.splitlines():
         fields = raw.split()
-        if fields and fields[0] == "k":
-            if len(fields) != 2:
-                raise ParseError("expected 'k <int>'")
-            try:
-                k = int(fields[1])
-            except ValueError as exc:
-                raise ParseError("bad budget") from exc
-        elif fields and fields[0] == "f":
-            try:
-                forb = [int(x) for x in fields[1:]]
-            except ValueError as exc:
-                raise ParseError("bad forbidden list") from exc
+        if fields and fields[0] in tags:
+            if fields[0] in records:
+                raise ParseError(f"repeated '{fields[0]}' record")
+            records[fields[0]] = fields[1:]
         else:
-            graph_lines.append(raw)
-    if k is None:
+            rest.append(raw)
+    return records, rest
+
+
+def read_budget(records: dict[str, list[str]]) -> int:
+    """The budget held by the 'k <int>' record of `read_records`."""
+    if "k" not in records:
         raise ParseError("missing 'k <int>' line")
+    if len(records["k"]) != 1:
+        raise ParseError("expected 'k <int>'")
+    try:
+        return int(records["k"][0])
+    except ValueError as exc:
+        raise ParseError("bad budget") from exc
+
+
+def _split_budget_lines(text: str) -> tuple[str, int, list[int] | None]:
+    """Separate graph lines from the 'k' and optional 'f' records."""
+    records, graph_lines = read_records(text, ("k", "f"))
+    k = read_budget(records)
+    try:
+        forb = None if "f" not in records else [int(x) for x in records["f"]]
+    except ValueError as exc:
+        raise ParseError("bad forbidden list") from exc
     return "\n".join(graph_lines) + "\n", k, forb
 
 
@@ -729,5 +741,5 @@ def parse_daf(text: str) -> DAFInstance:
     graph_text, k, forb = _split_budget_lines(text)
     try:
         return DAFInstance(parse_graph(graph_text), k, frozenset(forb or ()))
-    except InvalidInstance as exc:
+    except (InvalidInstance, UnknownVertex) as exc:
         raise ParseError(str(exc)) from exc

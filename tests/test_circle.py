@@ -311,3 +311,13 @@ def test_diagram_formats():
         parse_diagram("d a b a\n")
     with pytest.raises(ParseError):
         parse_ds_instance("d a a\n")  # missing k
+
+
+def test_ds_parser_hardening():
+    with pytest.raises(ParseError, match="repeated 'k'"):
+        parse_ds_instance("d a b a b\nk 1\nk 3\n")
+    with pytest.raises(ParseError, match="repeated 'd'"):
+        parse_ds_instance("d a a\nd b b\nk 1\n")
+    # a token int() cannot read keeps the diagram string-labelled
+    assert parse_ds_instance("d --1 --1\nk 1\n").diagram.labels == ("--1", "--1")
+    assert parse_diagram("d -1 2 -1 2\n").labels == (-1, 2, -1, 2)

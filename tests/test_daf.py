@@ -90,3 +90,12 @@ def test_daf_format_roundtrip():
     assert write_daf(back) == text
     with pytest.raises(ParseError):
         parse_daf("p da 1 0\n")  # no budget line
+
+
+def test_daf_parser_rejects_bad_records():
+    with pytest.raises(ParseError, match="not in graph"):
+        parse_daf("p da 2 0\nk 1\nf 7\n")  # forbidden id beyond the graph
+    with pytest.raises(ParseError, match="repeated 'k'"):
+        parse_daf("p da 2 0\nk 1\nk 5\n")
+    with pytest.raises(ParseError, match="repeated 'f'"):
+        parse_daf("p da 2 0\nk 1\nf 0\nf 1\n")

@@ -68,9 +68,12 @@ def test_empty_edge_set_well_formed():
 
 
 def test_cover_bound_random():
+    # result (2)'s parameter bound: the target has a vertex cover of size 3|T|+4
     rng = random.Random(31)
-    for _ in range(50):
-        inst = gen_rbds(rng, 4, 4, rng.random())
+    corpus = [gen_rbds(rng, 4, 4, rng.random()) for _ in range(50)]
+    rng = random.Random(2)
+    corpus += [gen_rbds(rng, 5, 5) for _ in range(200)]
+    for inst in corpus:
         da, gm = rbds_to_da(inst)
         assert da.k == inst.n_terminals + inst.n_sources + inst.k + 1
         cover = rbds_cover_set(gm)

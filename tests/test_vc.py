@@ -135,3 +135,8 @@ def test_vc_format_roundtrip():
     assert write_vc(back) == text
     with pytest.raises(ParseError):
         parse_vc("p da 2 1\ne 0 1\n")  # missing k line
+
+
+def test_vc_parser_rejects_repeated_budget():
+    with pytest.raises(ParseError, match="repeated 'k'"):
+        parse_vc("p da 2 1\ne 0 1\nk 1\nk 5\n")
