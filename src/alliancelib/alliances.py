@@ -15,7 +15,7 @@ from typing import Iterable
 from .errors import InvalidInstance, TooLarge
 from .graph import Graph
 
-_ORACLE_VERTEX_LIMIT = 20
+BRUTE_FORCE_LIMIT = 20  # the most vertices or items any exhaustive oracle accepts
 _ORACLE_WORK_LIMIT = 10_000_000
 
 
@@ -79,11 +79,29 @@ def is_defensive_alliance(g: Graph, s: Iterable[int]) -> bool:
     return True
 
 
+Target = DAInstance | DAFInstance
+
+
+def target_budget(target: Target) -> int:
+    return target.r if isinstance(target, DAFInstance) else target.k
+
+
+def target_forbidden(target: Target) -> frozenset[int]:
+    return target.forbidden if isinstance(target, DAFInstance) else frozenset()
+
+
+def certifies(target: Target, cert: frozenset[int]) -> bool:
+    """The certificate check of every kind: within the budget, free of
+    forbidden vertices, and a defensive alliance of the target graph."""
+    return (
+        len(cert) <= target_budget(target)
+        and not cert & target_forbidden(target)
+        and is_defensive_alliance(target.graph, cert)
+    )
+
+
 def is_daf_feasible(inst: DAFInstance, s: Iterable[int]) -> bool:
-    ss = frozenset(s)
-    if len(ss) > inst.r or ss & inst.forbidden:
-        return False
-    return is_defensive_alliance(inst.graph, ss)
+    return certifies(inst, frozenset(s))
 
 
 def brute_force_min_da(
@@ -96,14 +114,14 @@ def brute_force_min_da(
     Subsets are enumerated in size order and, within a size, in lexicographic
     id order, so the returned witness is canonical.  With `max_size` the
     enumeration stops at that cardinality (a budget-capped feasibility
-    oracle); without it the graph must have at most 20 vertices.
+    oracle); without it the graph must have at most BRUTE_FORCE_LIMIT vertices.
     """
     banned = frozenset(forbidden)
     pool = [v for v in g.vertices() if v not in banned]
     top = len(pool) if max_size is None else min(max_size, len(pool))
     if max_size is None:
-        if g.n > _ORACLE_VERTEX_LIMIT:
-            raise TooLarge(f"brute force guarded at n <= {_ORACLE_VERTEX_LIMIT}")
+        if g.n > BRUTE_FORCE_LIMIT:
+            raise TooLarge(f"brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
     else:
         work = sum(comb(len(pool), size) for size in range(1, top + 1))
         if work > _ORACLE_WORK_LIMIT:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .alliances import DAFInstance
+from .alliances import BRUTE_FORCE_LIMIT, DAFInstance
 from .errors import (
     BadParams,
     ChordsDoNotCross,
@@ -26,9 +26,7 @@ from .errors import (
 )
 from .graph import Graph, RoleKind, RoleTag
 from .reductions import (
-    _ORACLE_LIMIT,
     GadgetMap,
-    _roles_of,
     first_subset,
     read_budget,
     read_records,
@@ -211,8 +209,8 @@ class DSCircleInstance:
 def solve_ds_bruteforce(inst: DSCircleInstance) -> tuple[Label, ...] | None:
     """Lexicographically first dominating set (as chord labels) of size <= k."""
     d = inst.diagram
-    if d.n > _ORACLE_LIMIT:
-        raise TooLarge(f"DS brute force guarded at n <= {_ORACLE_LIMIT}")
+    if d.n > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"DS brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
     g = intersection_graph(d)
     chords = d.chords()
     found = first_subset(g.n, inst.k, lambda chosen: all(
@@ -433,7 +431,7 @@ def ds_to_daf(
 
     gm = GadgetMap(
         kind="ds-circle",
-        roles=_roles_of(g),
+        graph=g,
         families={
             "v1": dict(v1),
             "v2": dict(v2),

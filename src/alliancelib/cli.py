@@ -13,11 +13,11 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .alliances import DAInstance, is_defensive_alliance, solve_da
+from .alliances import DAInstance, certifies, is_defensive_alliance, solve_da, target_budget, target_forbidden
 from .circle import write_diagram
-from .errors import AllianceError, ParseError
+from .errors import AllianceError, BadParams, ParseError
 from .graph import parse_graph, parse_id_list, write_graph
-from .kinds import REDUCTIONS, certifies, target_budget, target_forbidden
+from .kinds import REDUCTIONS
 
 # The commands reach every compiler through REDUCTIONS; these names stay bound
 # here because perfbench's traced mode wraps them on this module by attribute.
@@ -28,8 +28,15 @@ from .reductions import mrss_to_da, parse_mrss, parse_rbds, parse_vc, rbds_to_da
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise BadParams(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -74,9 +81,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     forbidden = target_forbidden(target)
 
     def emit(suffix: str, text: str) -> str:
-        path = Path(args.out + suffix)
-        path.write_text(text)
-        return path.name
+        path = args.out + suffix
+        _write(path, text)
+        return Path(path).name
 
     graph_text = f"c budget {budget}\n" + write_graph(target.graph)
     written = [
@@ -129,7 +136,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     inst = red.gen(rng, args.max_n, dim=args.dim, max_entry=args.max_entry, density=args.density)
     text = red.write(inst)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -193,9 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AllianceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .alliances import DAFInstance
+from .alliances import BRUTE_FORCE_LIMIT, DAFInstance
 from .circle import ChordDiagram, DSCircleInstance
 from .errors import BadParams
 from .graph import Graph, build_graph
@@ -112,13 +112,13 @@ def gen_ds_circle(rng: random.Random, max_chords: int = 3) -> DSCircleInstance:
 
 def gen_daf(rng: random.Random, max_n: int = 6) -> DAFInstance:
     """Forbidden-vertex instances whose compiled target stays within the
-    20-vertex brute-force guard, so the full iff check always runs."""
+    brute-force guard, so the full iff check always runs."""
     if max_n < 1:
         raise BadParams("daf generator needs max_n >= 1")
-    n = rng.randint(1, min(max_n, 18))
+    n = rng.randint(1, min(max_n, BRUTE_FORCE_LIMIT - 2))
     g = gen_graph(rng, n, 0.4)
     k = rng.randint(1, 2)
-    cap = (20 - n) // (2 * k + 1)
+    cap = (BRUTE_FORCE_LIMIT - n) // (2 * k + 1)
     count = rng.randint(0, min(n, cap)) if cap > 0 else 0
     forbidden = frozenset(rng.sample(range(n), count))
     return DAFInstance(g, k, forbidden)

@@ -270,6 +270,7 @@ def parse_graph(text: str) -> Graph:
     g = Graph()
     n = m = None
     edge_lines = 0
+    tagged: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -312,6 +313,9 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: bad vertex id") from exc
             if not 0 <= v < n:
                 raise ParseError(f"line {lineno}: vertex {v} out of range")
+            if v in tagged:
+                raise ParseError(f"line {lineno}: repeated 't' for vertex {v}")
+            tagged.add(v)
             kind = _KIND_BY_NAME.get(fields[2])
             if kind is None:
                 raise ParseError(f"line {lineno}: unknown tag '{fields[2]}'")

@@ -18,16 +18,14 @@ import json
 import random
 from dataclasses import asdict, dataclass
 
-from .alliances import brute_force_min_da
+from .alliances import BRUTE_FORCE_LIMIT, brute_force_min_da, certifies, target_budget, target_forbidden
 from .errors import BadParams
-from .kinds import REDUCTIONS, certifies, target_budget, target_forbidden
+from .kinds import REDUCTIONS
 
 DEFAULT_SEED = 20250810
 KINDS = tuple(REDUCTIONS)
 DEFAULT_COUNTS = {"mrss": 25, "rbds": 100, "vc": 100, "ds-circle": 50, "daf": 200}
 DEFAULT_MAX_N = {"mrss": 3, "rbds": 4, "vc": 8, "ds-circle": 3, "daf": 6}
-
-_TARGET_BRUTE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def run_equiv_case(kind: str, case: int, rng: random.Random, max_n: int) -> Equi
     valid = certifies(target, red.forward(gm, sol)) if yes else None
     if valid is False:
         return EquivReport(case, kind, digest, True, False, budget, None, "forward-fail")
-    if target.graph.n > _TARGET_BRUTE_LIMIT:
+    if target.graph.n > BRUTE_FORCE_LIMIT:
         verdict = "forward-ok" if yes else "skipped-too-large"
         return EquivReport(case, kind, digest, yes, valid, budget, None, verdict)
     found = brute_force_min_da(

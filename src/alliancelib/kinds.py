@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import circle, generators, reductions
-from .alliances import DAFInstance, DAInstance, brute_force_min_da, is_defensive_alliance
+from .alliances import DAFInstance, Target, brute_force_min_da
 from .errors import ParseError
 from .graph import parse_id_list
 from .reductions import GadgetMap
-
-Target = DAInstance | DAFInstance
 
 
 @dataclass(frozen=True)
@@ -43,24 +41,6 @@ class Reduction:
     parse_solution: Callable[[Any, str], list]
     forward: Callable[[GadgetMap, Sequence], frozenset[int]]
     small_targets: bool = False
-
-
-def target_budget(target: Target) -> int:
-    return target.r if isinstance(target, DAFInstance) else target.k
-
-
-def target_forbidden(target: Target) -> frozenset[int]:
-    return target.forbidden if isinstance(target, DAFInstance) else frozenset()
-
-
-def certifies(target: Target, cert: frozenset[int]) -> bool:
-    """The certificate check of every kind: within the budget, free of
-    forbidden vertices, and a defensive alliance of the target graph."""
-    return (
-        len(cert) <= target_budget(target)
-        and not cert & target_forbidden(target)
-        and is_defensive_alliance(target.graph, cert)
-    )
 
 
 def _id_solution(size: Callable[[Any], int]) -> Callable[[Any, str], list[int]]:

@@ -18,48 +18,36 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .alliances import DAFInstance, DAInstance
+from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance
 from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, UnknownVertex
 from .graph import Graph, RoleKind, RoleTag, parse_graph, write_graph
 
-_ORACLE_LIMIT = 20
-
-
 @dataclass(frozen=True)
 class GadgetMap:
-    """Provenance of a compiled graph: vertex roles plus named gadget families.
+    """Provenance of a compiled graph: the graph itself plus named gadget families.
 
+    `graph` is the compiled target graph, whose vertex tags are the roles;
     `families` maps family names (as used by the construction, e.g. "H",
     "x_center", "cycles") to id lists / nested id lists keyed the same way
     the source instance is indexed.
     """
 
     kind: str
-    roles: dict[int, RoleTag]
+    graph: Graph
     families: dict[str, object]
 
     def to_json(self) -> str:
         def encode(obj: object) -> object:
-            if isinstance(obj, RoleTag):
-                return {"kind": obj.kind.value, "payload": encode(obj.payload)}
             if isinstance(obj, (list, tuple)):
                 return [encode(x) for x in obj]
-            if isinstance(obj, (set, frozenset)):
-                return sorted(encode(x) for x in obj)
             if isinstance(obj, dict):
                 return {str(k): encode(v) for k, v in obj.items()}
             return obj
 
-        payload = {
-            "kind": self.kind,
-            "roles": {str(v): encode(tag) for v, tag in sorted(self.roles.items())},
-            "families": encode(self.families),
-        }
+        tags = enumerate(map(self.graph.tag, self.graph.vertices()))
+        roles = {str(v): {"kind": t.kind.value, "payload": t.payload} for v, t in tags}
+        payload = {"kind": self.kind, "roles": roles, "families": encode(self.families)}
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
-def _roles_of(g: Graph) -> dict[int, RoleTag]:
-    return {v: g.tag(v) for v in g.vertices()}
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +97,8 @@ def first_subset(
 def solve_mrss_bruteforce(inst: MRSSInstance) -> tuple[int, ...] | None:
     """Lexicographically first subset of size <= kprime with sum >= target."""
     n = len(inst.vectors)
-    if n > _ORACLE_LIMIT:
-        raise TooLarge(f"MRSS brute force guarded at n <= {_ORACLE_LIMIT}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"MRSS brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
     return first_subset(n, inst.kprime, lambda chosen: all(
         sum(inst.vectors[i][d] for i in chosen) >= t for d, t in enumerate(inst.target)
     ))
@@ -267,7 +255,7 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     g.freeze()
     gm = GadgetMap(
         kind="mrss",
-        roles=_roles_of(g),
+        graph=g,
         families={
             "u": u,
             "squares_u": squares_u,
@@ -346,8 +334,8 @@ class RBDSInstance:
 
 def solve_rbds_bruteforce(inst: RBDSInstance) -> tuple[int, ...] | None:
     """Lexicographically first source subset of size <= k dominating all terminals."""
-    if inst.n_sources > _ORACLE_LIMIT:
-        raise TooLarge(f"RBDS brute force guarded at |S| <= {_ORACLE_LIMIT}")
+    if inst.n_sources > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"RBDS brute force guarded at |S| <= {BRUTE_FORCE_LIMIT}")
     nbrs = [set() for _ in range(inst.n_terminals)]
     for t, s in inst.edges:
         nbrs[t].add(s)
@@ -412,7 +400,7 @@ def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
     g.freeze()
     gm = GadgetMap(
         kind="rbds",
-        roles=_roles_of(g),
+        graph=g,
         families={
             "T0": t0,
             "T1": t1,
@@ -477,8 +465,8 @@ def solve_vc_bruteforce(inst: VC3Instance) -> tuple[int, ...] | None:
     """Lexicographically first vertex cover of size <= k (the empty cover is
     legitimate on an edgeless graph)."""
     g = inst.graph
-    if g.n > _ORACLE_LIMIT:
-        raise TooLarge(f"VC brute force guarded at n <= {_ORACLE_LIMIT}")
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"VC brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
     edges = list(g.edges())
     return first_subset(
         g.n, inst.k, lambda chosen: all(u in chosen or v in chosen for u, v in edges)
@@ -552,7 +540,7 @@ def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:
     g.freeze()
     gm = GadgetMap(
         kind="vc",
-        roles=_roles_of(g),
+        graph=g,
         families={
             "X": xs,
             "Y": ys,
@@ -606,7 +594,7 @@ def daf_to_da(inst: DAFInstance) -> tuple[DAInstance, GadgetMap]:
     g.freeze()
     gm = GadgetMap(
         kind="daf",
-        roles=_roles_of(g),
+        graph=g,
         families={"mirror": mirrors, "guards": guards, "forbidden": sorted(inst.forbidden)},
     )
     return DAInstance(g, inst.r), gm

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from alliancelib.cli import main
 from alliancelib.graph import parse_graph
+from alliancelib.kinds import REDUCTIONS
 
 
 def run(capsys, *argv):
@@ -174,6 +176,80 @@ def test_gen_and_certify_stdout_pinned(kind, tmp_path, capsys):
     assert got[:2] == (code_given, out_given)
 
 
+# reduce on each GOLDEN_SEED_7 source: stdout and the sha256 of every file
+# written, recorded while the gadget map still kept its own copy of the
+# roles.  The roles in .gadgets.json are now read from the graph's tags; the
+# files must stay byte-identical.  The mrss map has more than ten int keys in
+# its `pendants` family, so its key order (string, not numeric) is pinned too.
+GOLDEN_REDUCE_SEED_7 = {
+    "mrss": (
+        "mrss: n=22621 m=45288 budget=66 -> out.graph, out.budget, out.gadgets.json\n",
+        {
+            ".graph": "2c817f806c976f58ca110d6880ccebe695626920e6c5499b9e91b2dfae91d4fd",
+            ".budget": "8e37bed9dff3949ffd23ae638260dff869f5cc26e551f2a9e5e289a8888949fa",
+            ".gadgets.json": "0c833fb4cf36131e31b7418b9e45e3ea2c08ca13d1bba0d2a32f65a35a43030b",
+        },
+    ),
+    "rbds": (
+        "rbds: n=689 m=2712 budget=7 -> out.graph, out.budget, out.gadgets.json\n",
+        {
+            ".graph": "625c44c4a7d4c1e4e4d953467836fa9c92701433cb92145963766b4b7907f930",
+            ".budget": "10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58",
+            ".gadgets.json": "bd74316c04e3690ec22b6ba395f0c54b5926975b5e8d1396e79e74a28409be16",
+        },
+    ),
+    "vc": (
+        "vc: n=737 m=1580 budget=22 -> out.graph, out.budget, out.gadgets.json\n",
+        {
+            ".graph": "68ac5b4fe5cea0e3f60657412f32c76d49cdacdb80557c7a86d6d0a72fa7a4b0",
+            ".budget": "f14b4987904bcb5814e4459a057ed4d20f58a633152288a761214dcd28780b56",
+            ".gadgets.json": "b78508f0084464671d9c95caff90c4ef21f129b775a7af5489accd02375b9cb4",
+        },
+    ),
+    "ds-circle": (
+        "ds-circle: n=2730 m=3687 budget=299 -> "
+        "out.graph, out.budget, out.gadgets.json, out.forbidden, out.diagram\n",
+        {
+            ".graph": "e75431729cba0a4d693db77d82423c2465c92a17e2cb5edc0e09590a41b75f4e",
+            ".budget": "0f3d5add13e3e2b7d1387d7790fe16545c72cdd3d4d27dd5175de4322fae192b",
+            ".gadgets.json": "fdb67bfa18fcee727d92e6faebdd92e21383452105b907a0a699de5e99336ceb",
+            ".forbidden": "82ea18d13ac646e276d126b34075cd2dcc662e64ac19e74d4e3010d185fa9a26",
+            ".diagram": "52f59e277eb89b584d71491319a135b8a92fd68ca118b521f39123293b320821",
+        },
+    ),
+    "daf": (
+        "daf: n=9 m=10 budget=1 -> out.graph, out.budget, out.gadgets.json\n",
+        {
+            ".graph": "4bf87358f64b6d5b56a39f0ecf8b570493f2050599d7409b32b30c1d79dc0e30",
+            ".budget": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+            ".gadgets.json": "4f11b95c5ba572273e74a890225ce45504d42a97b284469f1ae66471fa34aa93",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SEED_7))
+def test_reduce_files_pinned(kind, tmp_path, capsys):
+    src = tmp_path / "inst"
+    src.write_text(GOLDEN_SEED_7[kind][0])
+    out, digests = GOLDEN_REDUCE_SEED_7[kind]
+    assert run(capsys, "reduce", kind, str(src), "--out", str(tmp_path / "out"))[:2] == (0, out)
+    written = {p.name[len("out"):]: p for p in tmp_path.glob("out.*")}
+    assert set(written) == set(digests)
+    for suffix, path in written.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[suffix], suffix
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SEED_7))
+def test_gadget_map_holds_the_target_graph(kind):
+    red = REDUCTIONS[kind]
+    target, gm, _ = red.compile(red.parse(GOLDEN_SEED_7[kind][0]))
+    assert gm.graph is target.graph
+    roles = json.loads(gm.to_json())["roles"]
+    assert len(roles) == target.graph.n
+    assert roles["0"]["kind"] == target.graph.tag(0).kind.value
+
+
 # One bad --solution per kind: out of range, negative, unknown id or label.
 BAD_SOLUTIONS = {"mrss": "7", "rbds": "-1", "vc": "9", "ds-circle": "zz", "daf": "0,3"}
 
@@ -196,6 +272,25 @@ def test_forbidden_ids_out_of_range(tmp_path, capsys):
     assert code == 2 and "out of range" in err
     code, _, _ = run(capsys, "check", str(f), "--set", "0,-1")
     assert code == 2
+
+
+def test_reduce_to_missing_directory_exits_2(tmp_path, capsys):
+    src = tmp_path / "fig1.mrss"
+    src.write_text("mrss 2 3 2\n3 3\n2 1\n1 1\n1 2\n")
+    code, out, err = run(capsys, "reduce", "mrss", str(src), "--out", str(tmp_path / "nodir" / "x"))
+    assert code == 2 and out == "" and err.startswith("error: cannot write ")
+
+
+def test_gen_to_missing_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "vc", "--out", str(tmp_path / "nodir" / "x"))
+    assert code == 2 and out == "" and err.startswith("error: cannot write ")
+
+
+def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.graph"
+    f.write_bytes(b"p da 1 0\n\xff\n")
+    code, out, err = run(capsys, "check", str(f), "--set", "0")
+    assert code == 2 and out == "" and err.startswith("error: cannot read ")
 
 
 def test_reduce_ds_circle_double_dash_token_is_a_label(tmp_path, capsys):

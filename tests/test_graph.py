@@ -180,6 +180,16 @@ def test_graph_format_rejects():
         parse_graph("p da 2 0\nt 0 nonsense\n")
 
 
+def test_graph_format_rejects_repeated_tag():
+    # The writer emits at most one 't' line per vertex; a second one would
+    # otherwise silently replace the first.
+    assert parse_graph("p da 1 0\nt 0 square\n").tag(0).kind is RoleKind.SQUARE
+    with pytest.raises(ParseError, match="repeated 't' for vertex 0"):
+        parse_graph("p da 1 0\nt 0 square\nt 0 pendant\n")
+    with pytest.raises(ParseError, match="repeated 't'"):
+        parse_graph("p da 1 0\nt 0 original\nt 0 original\n")
+
+
 def test_graph_format_ignores_comments():
     g = parse_graph("c budget 17\np da 2 1\ne 0 1\n")
     assert g.n == 2 and g.m == 1
