@@ -24,7 +24,7 @@ from .errors import (
     TooLarge,
     UnknownChord,
 )
-from .graph import Graph, RoleKind, RoleTag
+from .graph import Graph, RoleKind
 from .reductions import (
     GadgetMap,
     first_subset,
@@ -103,8 +103,7 @@ def chord_ids(d: ChordDiagram) -> dict[Label, int]:
 def intersection_graph(d: ChordDiagram) -> Graph:
     ids = chord_ids(d)
     g = Graph()
-    for lab in d.chords():
-        g.add_vertex(RoleTag(RoleKind.ORIGINAL, lab))
+    g.add_family(RoleKind.ORIGINAL, d.chords())
     for a, b in crossing_pairs(d.labels):
         g.add_edge(ids[a], ids[b])
     return g.freeze()
@@ -258,124 +257,78 @@ def ds_to_daf(
     n = d.n
     if n < 1:
         raise MalformedDiagram("reduction needs at least one chord")
-    seq = traversal_sequence(d, 0)
+    seq = d.labels
     labels = d.chords()
     m_per_fan = 2 * n + 1
+    top = m_per_fan - 1
 
+    # Per-chord tables.  twins[lab] is [v_1, v_2]; fans, c1 and c2 are
+    # indexed by endpoint, 0 for the chord's first occurrence along the
+    # circle (the X side) and 1 for its second (the Y side).
     g = Graph()
-    v1: dict[Label, int] = {}
-    v2: dict[Label, int] = {}
+    twins = {lab: g.add_family(RoleKind.ORIGINAL, [(lab, 1), (lab, 2)]) for lab in labels}
     for lab in labels:
-        v1[lab] = g.add_vertex(RoleTag(RoleKind.ORIGINAL, (lab, 1)))
-        v2[lab] = g.add_vertex(RoleTag(RoleKind.ORIGINAL, (lab, 2)))
-    for lab in labels:
-        g.add_edge(v1[lab], v2[lab])
-    src_edges = sorted(
-        (min(a, b), max(a, b)) for a, b in crossing_pairs(d.labels)
-    )
-    for a, b in src_edges:
-        g.add_edge(v1[a], v1[b])
-        g.add_edge(v1[a], v2[b])
-        g.add_edge(v2[a], v1[b])
-        g.add_edge(v2[a], v2[b])
+        g.add_edge(*twins[lab])
+    for a, b in crossing_pairs(seq):
+        for p in twins[a]:
+            for q in twins[b]:
+                g.add_edge(p, q)
 
-    xfan: dict[Label, list[int]] = {}
-    yfan: dict[Label, list[int]] = {}
-    for lab in labels:
-        xfan[lab] = [
-            g.add_vertex(RoleTag(RoleKind.X_SET, (lab, i))) for i in range(m_per_fan)
+    fans = {
+        lab: [
+            g.add_family(kind, [(lab, i) for i in range(m_per_fan)], join=twins[lab])
+            for kind in (RoleKind.X_SET, RoleKind.Y_SET)
         ]
-        yfan[lab] = [
-            g.add_vertex(RoleTag(RoleKind.Y_SET, (lab, i))) for i in range(m_per_fan)
-        ]
-        for z in xfan[lab] + yfan[lab]:
-            g.add_edge(v1[lab], z)
-            g.add_edge(v2[lab], z)
+        for lab in labels
+    }
 
-    def make_cliques(hosts: list[int], note: str, lab: Label) -> tuple[list[list[int]], list[list[int]]]:
-        one: list[list[int]] = []
-        two: list[list[int]] = []
-        for i, host in enumerate(hosts):
-            tri1 = [
-                g.add_vertex(RoleTag(RoleKind.CLIQUE_C1, (lab, note, i, j)))
-                for j in range(3)
-            ]
-            tri2 = [
-                g.add_vertex(RoleTag(RoleKind.CLIQUE_C2, (lab, note, i, j)))
-                for j in range(3)
-            ]
-            for w in tri1 + tri2:
-                g.add_edge(host, w)
-            one.append(tri1)
-            two.append(tri2)
-        return one, two
-
-    c1x: dict[Label, list[list[int]]] = {}
-    c2x: dict[Label, list[list[int]]] = {}
-    c1y: dict[Label, list[list[int]]] = {}
-    c2y: dict[Label, list[list[int]]] = {}
+    # Every fan member hosts two triangles, one of each clique chain; the
+    # clique vertices take the id range [first_clique, last_clique).
+    first_clique = g.n
+    c1: dict[Label, list[list[list[int]]]] = {}
+    c2: dict[Label, list[list[list[int]]]] = {}
     for lab in labels:
-        c1x[lab], c2x[lab] = make_cliques(xfan[lab], "x", lab)
-        c1y[lab], c2y[lab] = make_cliques(yfan[lab], "y", lab)
-        _triangle_chain_edges(g, c1x[lab])
-        _triangle_chain_edges(g, c2x[lab])
-        _triangle_chain_edges(g, c1y[lab])
-        _triangle_chain_edges(g, c2y[lab])
+        c1[lab], c2[lab] = [[], []], [[], []]
+        for side, note in enumerate("xy"):
+            for i, host in enumerate(fans[lab][side]):
+                payloads = [(lab, note, i, j) for j in range(3)]
+                c1[lab][side].append(g.add_family(RoleKind.CLIQUE_C1, payloads, join=[host]))
+                c2[lab][side].append(g.add_family(RoleKind.CLIQUE_C2, payloads, join=[host]))
+            _triangle_chain_edges(g, c1[lab][side])
+            _triangle_chain_edges(g, c2[lab][side])
+    last_clique = g.n
 
     # Chain-end welds along the traversal sequence.  A pair contributes when
     # its occurrence pattern is (first,first), (second,second) or
     # (first,second); the leftover (second,first) pattern -- which is always
     # what the wrap-around pair shows -- and same-chord pairs contribute
     # nothing.
-    occ_index: list[int] = []
+    side_of: list[int] = []
     seen: set[Label] = set()
     for lab in seq:
-        occ_index.append(1 if lab not in seen else 2)
+        side_of.append(int(lab in seen))
         seen.add(lab)
     wire_out: list[list[int] | None] = [None] * len(seq)
     for j in range(len(seq)):
         jn = (j + 1) % len(seq)
         u, w = seq[j], seq[jn]
-        if u == w:
+        if u == w or (side_of[j], side_of[jn]) == (1, 0):
             continue
-        ou, ow = occ_index[j], occ_index[jn]
-        if ou == 2 and ow == 1:
-            continue
-        out_tri = (c2x if ou == 1 else c2y)[u][m_per_fan - 1]
-        in_tri = (c1x if ow == 1 else c1y)[w][m_per_fan - 1]
-        for p in out_tri:
+        in_tri = c1[w][side_of[jn]][top]
+        for p in c2[u][side_of[j]][top]:
             for q in in_tri:
                 g.add_edge(p, q)
         wire_out[j] = in_tri
 
     # Forbidden pendants, counted against pre-pendant degrees.
-    clique_members = [
-        w
-        for lab in labels
-        for block in (c1x[lab], c2x[lab], c1y[lab], c2y[lab])
-        for tri in block
-        for w in tri
-    ]
-    pendant_counts: list[tuple[int, int]] = []
-    for w in sorted(clique_members):
-        pendant_counts.append((w, g.degree(w)))
-    for lab in labels:
-        for z in xfan[lab] + yfan[lab]:
-            pendant_counts.append((z, 6))
-    for lab in labels:
-        pendant_counts.append((v1[lab], 4 * n + 3))
-        pendant_counts.append((v2[lab], 4 * n + 3))
-
-    pend_of: dict[int, list[int]] = {}
-    forbidden: list[int] = []
-    for host, count in pendant_counts:
-        pend = [
-            g.add_vertex(RoleTag(RoleKind.FORBIDDEN, (host, j))) for j in range(count)
-        ]
-        for p in pend:
-            g.add_edge(host, p)
-        pend_of[host] = pend
-        forbidden.extend(pend)
+    pendant_counts = [(w, g.degree(w)) for w in range(first_clique, last_clique)]
+    pendant_counts += [(z, 6) for lab in labels for fan in fans[lab] for z in fan]
+    pendant_counts += [(v, 4 * n + 3) for lab in labels for v in twins[lab]]
+    pend_of = {
+        host: g.add_family(RoleKind.FORBIDDEN, [(host, j) for j in range(count)], join=[host])
+        for host, count in pendant_counts
+    }
+    forbidden = [p for pend in pend_of.values() for p in pend]
 
     budget = 7 * n * (4 * n + 2) + n + inst.k
     g.freeze()
@@ -383,11 +336,8 @@ def ds_to_daf(
     # -- diagram emission, region by region -------------------------------
     core: list[int] = []
     for j, lab in enumerate(seq):
-        first = occ_index[j] == 1
-        nest = xfan[lab] if first else yfan[lab]
-        cone = (c1x if first else c1y)[lab]
-        ctwo = (c2x if first else c2y)[lab]
-        top = m_per_fan - 1
+        side = side_of[j]
+        nest, cone, ctwo = fans[lab][side], c1[lab][side], c2[lab][side]
         if wire_out[j - 1] is None:  # j = 0 wraps; that wire is always absent
             core.extend(cone[top])
         core.append(nest[top])
@@ -396,8 +346,7 @@ def ds_to_daf(
             core.extend(cone[ti + 1])
             core.append(nest[ti])
         core.extend(cone[0])
-        core.append(v1[lab])
-        core.append(v2[lab])
+        core.extend(twins[lab])
         core.extend(ctwo[0])
         core.append(nest[0])
         for ti in range(1, m_per_fan):
@@ -433,14 +382,14 @@ def ds_to_daf(
         kind="ds-circle",
         graph=g,
         families={
-            "v1": dict(v1),
-            "v2": dict(v2),
-            "X": dict(xfan),
-            "Y": dict(yfan),
-            "cliques_x1": dict(c1x),
-            "cliques_x2": dict(c2x),
-            "cliques_y1": dict(c1y),
-            "cliques_y2": dict(c2y),
+            "v1": {lab: twins[lab][0] for lab in labels},
+            "v2": {lab: twins[lab][1] for lab in labels},
+            "X": {lab: fans[lab][0] for lab in labels},
+            "Y": {lab: fans[lab][1] for lab in labels},
+            "cliques_x1": {lab: c1[lab][0] for lab in labels},
+            "cliques_x2": {lab: c2[lab][0] for lab in labels},
+            "cliques_y1": {lab: c1[lab][1] for lab in labels},
+            "cliques_y2": {lab: c2[lab][1] for lab in labels},
             "pendants": pend_of,
             "forbidden": forbidden,
         },

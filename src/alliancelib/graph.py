@@ -4,6 +4,12 @@ Vertices are dense non-negative integers handed out in construction order,
 which keeps every downstream construction a pure function of its input.
 Adjacency is a list of sets; a graph is mutable while it is being built and
 is frozen by the code that finishes it, after which any mutation raises.
+
+The compilers build every gadget family with one call, `add_family`: a run of
+fresh vertices, one per payload, each tagged with the family's role and joined
+to the same host vertices.  Since ids follow creation order, a compiler must
+create its families in the order that numbers them; the order in which edges
+are added does not matter, as adjacency is a set and the writer sorts edges.
 """
 
 from __future__ import annotations
@@ -84,6 +90,18 @@ class Graph:
     def add_vertices(self, count: int, tag: RoleTag = ORIGINAL) -> list[int]:
         return [self.add_vertex(tag) for _ in range(count)]
 
+    def add_family(
+        self, kind: RoleKind, payloads: Iterable[object], join: Iterable[int] = ()
+    ) -> list[int]:
+        """One fresh vertex tagged RoleTag(kind, payload) per payload, in
+        order, each joined to every vertex of `join`; returns the new ids.
+        `join` is read once, so it may be a generator."""
+        ids = [self.add_vertex(RoleTag(kind, payload)) for payload in payloads]
+        for host in join:
+            for v in ids:
+                self.add_edge(host, v)
+        return ids
+
     def add_edge(self, u: int, v: int) -> None:
         if self._frozen:
             raise FrozenGraph("graph is frozen")
@@ -128,11 +146,6 @@ class Graph:
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return v in self._adj[u]
 
     def tag(self, v: int) -> RoleTag:
         self._check_vertex(v)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance
 from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, UnknownVertex
-from .graph import Graph, RoleKind, RoleTag, parse_graph, write_graph
+from .graph import Graph, RoleKind, parse_graph, write_graph
 
 @dataclass(frozen=True)
 class GadgetMap:
@@ -121,7 +121,6 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
         # The star gadget needs max(s)+1 >= 2 leaves; a zero vector is
         # pointless for the source problem anyway.
         raise InvalidInstance("zero vector not supported by the star gadget")
-    n = len(vecs)
     big_n = sum(2 * max(s) + 2 for s in vecs)
     budget = (
         (k + 3) * big_n
@@ -132,28 +131,20 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     )
 
     g = Graph()
-    u = [g.add_vertex(RoleTag(RoleKind.OTHER, ("u", i))) for i in range(k)]
+    u = g.add_family(RoleKind.OTHER, [("u", i) for i in range(k)])
     squares_u: list[list[int]] = []
     for i in range(k):
         col = sum(s[i] for s in vecs)
         size = col + 2 * big_n - 2 * (col - target[i])
-        sq = [
-            g.add_vertex(RoleTag(RoleKind.SQUARE, ("u", i, j))) for j in range(size)
-        ]
-        for x in sq:
-            g.add_edge(u[i], x)
-        squares_u.append(sq)
+        squares_u.append(
+            g.add_family(RoleKind.SQUARE, [("u", i, j) for j in range(size)], join=[u[i]])
+        )
 
-    f = [g.add_vertex(RoleTag(RoleKind.F_VERTEX, i)) for i in range(3)]
-    squares_f: list[list[int]] = []
-    for i in range(3):
-        sq = [
-            g.add_vertex(RoleTag(RoleKind.SQUARE, ("f", i, j)))
-            for j in range(2 * big_n)
-        ]
-        for x in sq:
-            g.add_edge(f[i], x)
-        squares_f.append(sq)
+    f = g.add_family(RoleKind.F_VERTEX, range(3))
+    squares_f = [
+        g.add_family(RoleKind.SQUARE, [("f", i, j) for j in range(2 * big_n)], join=[f[i]])
+        for i in range(3)
+    ]
 
     # Consecutive pairs in the cyclic order u_1..u_k, f_1, f_2, f_3, u_1.
     ring = u + f
@@ -161,29 +152,18 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     hub_h: list[list[int]] = []
     hub_h0: list[int] = []
     squares_h0: list[list[int]] = []
-    for p, (x, y) in enumerate(pairs):
-        hs = [g.add_vertex(RoleTag(RoleKind.HUB_H, (p, j))) for j in range(big_n)]
-        for h in hs:
-            g.add_edge(h, x)
-            g.add_edge(h, y)
-        h0 = g.add_vertex(RoleTag(RoleKind.HUB_H0, p))
-        for h in hs:
-            g.add_edge(h0, h)
-        sq = [
-            g.add_vertex(RoleTag(RoleKind.SQUARE, ("h0", p, j)))
-            for j in range(big_n)
-        ]
-        for xsq in sq:
-            g.add_edge(h0, xsq)
+    for p, pair in enumerate(pairs):
+        hs = g.add_family(RoleKind.HUB_H, [(p, j) for j in range(big_n)], join=pair)
+        [h0] = g.add_family(RoleKind.HUB_H0, [p], join=hs)
+        squares_h0.append(
+            g.add_family(RoleKind.SQUARE, [("h0", p, j) for j in range(big_n)], join=[h0])
+        )
         hub_h.append(hs)
         hub_h0.append(h0)
-        squares_h0.append(sq)
 
-    h_square = [g.add_vertex(RoleTag(RoleKind.SQUARE, ("H", j))) for j in range(3)]
-    for hs in hub_h:
-        for h in hs:
-            for xsq in h_square:
-                g.add_edge(h, xsq)
+    h_square = g.add_family(
+        RoleKind.SQUARE, [("H", j) for j in range(3)], join=(h for hs in hub_h for h in hs)
+    )
 
     x_center: list[int] = []
     a_leaves: list[list[int]] = []
@@ -191,66 +171,41 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     b_leaves: list[list[int]] = []
     for si, s in enumerate(vecs):
         width = max(s) + 1
-        xc = g.add_vertex(RoleTag(RoleKind.STAR_CENTER, ("x", si)))
-        al = [
-            g.add_vertex(RoleTag(RoleKind.STAR_LEAF_A, (si, j))) for j in range(width)
-        ]
-        yc = g.add_vertex(RoleTag(RoleKind.STAR_CENTER, ("y", si)))
-        bl = [
-            g.add_vertex(RoleTag(RoleKind.STAR_LEAF_B, (si, j))) for j in range(width)
-        ]
-        for leaf in al:
-            g.add_edge(xc, leaf)
-        for leaf in bl:
-            g.add_edge(yc, leaf)
+        [xc] = g.add_family(RoleKind.STAR_CENTER, [("x", si)])
+        al = g.add_family(RoleKind.STAR_LEAF_A, [(si, j) for j in range(width)], join=[xc, *f])
+        [yc] = g.add_family(RoleKind.STAR_CENTER, [("y", si)])
+        bl = g.add_family(RoleKind.STAR_LEAF_B, [(si, j) for j in range(width)], join=[yc, *f])
         for i in range(k):
             for j in range(s[i]):  # the s(i) lowest-index leaves
                 g.add_edge(u[i], al[j])
-        for fv in f:
-            for leaf in al + bl:
-                g.add_edge(fv, leaf)
         x_center.append(xc)
         a_leaves.append(al)
         y_center.append(yc)
         b_leaves.append(bl)
 
+    # Leaf j of star A_s joins the first 5 + |{i : s(i) > j}| a-squares.
+    picks = {
+        leaf: 5 + sum(x > j for x in s)
+        for s, al in zip(vecs, a_leaves)
+        for j, leaf in enumerate(al)
+    }
     a_square = [
-        g.add_vertex(RoleTag(RoleKind.SQUARE, ("a", j))) for j in range(k + 5)
+        g.add_family(RoleKind.SQUARE, [("a", t)], join=(v for v, w in picks.items() if w > t))[0]
+        for t in range(k + 5)
     ]
-    for si, s in enumerate(vecs):
-        for j, leaf in enumerate(a_leaves[si]):
-            picks = sum(1 for i in range(k) if s[i] > j) + 5
-            for xsq in a_square[:picks]:
-                g.add_edge(leaf, xsq)
 
-    all_squares = (
-        [x for sq in squares_u for x in sq]
-        + [x for sq in squares_f for x in sq]
-        + [x for sq in squares_h0 for x in sq]
-        + h_square
-        + a_square
+    # Every square carries a pendant set; the pendants of squares_u, squares_f
+    # and squares_h0 (the t side) drain into t, those of the H and a squares
+    # into t'.  The squares are listed in ascending id order.
+    t_side = [x for sq in squares_u + squares_f + squares_h0 for x in sq]
+    pendants = {
+        x: g.add_family(RoleKind.PENDANT, [(x, j) for j in range(2 * budget + 2)], join=[x])
+        for x in t_side + h_square + a_square
+    }
+    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=(p for x in t_side for p in pendants[x]))
+    [t_prime] = g.add_family(
+        RoleKind.T_VERTEX, [1], join=(p for x in h_square + a_square for p in pendants[x])
     )
-    t_side = set(
-        [x for sq in squares_u for x in sq]
-        + [x for sq in squares_f for x in sq]
-        + [x for sq in squares_h0 for x in sq]
-    )
-    pendants: dict[int, list[int]] = {}
-    for xsq in sorted(all_squares):
-        pend = [
-            g.add_vertex(RoleTag(RoleKind.PENDANT, (xsq, j)))
-            for j in range(2 * budget + 2)
-        ]
-        for p in pend:
-            g.add_edge(xsq, p)
-        pendants[xsq] = pend
-
-    t = g.add_vertex(RoleTag(RoleKind.T_VERTEX, 0))
-    t_prime = g.add_vertex(RoleTag(RoleKind.T_VERTEX, 1))
-    for xsq in sorted(all_squares):
-        sink = t if xsq in t_side else t_prime
-        for p in pendants[xsq]:
-            g.add_edge(sink, p)
 
     g.freeze()
     gm = GadgetMap(
@@ -355,34 +310,20 @@ def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
     ell = 4 * budget
 
     g = Graph()
-    t0 = [g.add_vertex(RoleTag(RoleKind.COPY_T0, t)) for t in range(nt)]
-    t1 = [g.add_vertex(RoleTag(RoleKind.COPY_T1, t)) for t in range(nt)]
-    t2 = [g.add_vertex(RoleTag(RoleKind.COPY_T2, t)) for t in range(nt)]
-    s0 = [g.add_vertex(RoleTag(RoleKind.COPY_S0, s)) for s in range(ns)]
-    s1 = [g.add_vertex(RoleTag(RoleKind.COPY_S1, s)) for s in range(ns)]
+    t0 = g.add_family(RoleKind.COPY_T0, range(nt))
+    t1 = g.add_family(RoleKind.COPY_T1, range(nt))
+    t2 = g.add_family(RoleKind.COPY_T2, range(nt))
+    s0 = g.add_family(RoleKind.COPY_S0, range(ns))
+    s1 = g.add_family(RoleKind.COPY_S1, range(ns))
 
-    blanket: dict[int, list[int]] = {}
-    for host in t1 + t2:
-        pend = [
-            g.add_vertex(RoleTag(RoleKind.PENDANT, (host, j))) for j in range(4 * ell)
-        ]
-        for p in pend:
-            g.add_edge(host, p)
-        blanket[host] = pend
-
-    a = g.add_vertex(RoleTag(RoleKind.APEX, "a"))
-    b = g.add_vertex(RoleTag(RoleKind.APEX, "b"))
-    c = g.add_vertex(RoleTag(RoleKind.APEX, "c"))
-    for host in t1 + t2:
-        for p in blanket[host]:
-            g.add_edge(a, p)
-            g.add_edge(b, p)
-            g.add_edge(c, p)
-    for t in t0:
-        g.add_edge(a, t)
-        g.add_edge(b, t)
-    for s in s1:
-        g.add_edge(a, s)
+    blanket = {
+        host: g.add_family(RoleKind.PENDANT, [(host, j) for j in range(4 * ell)], join=[host])
+        for host in t1 + t2
+    }
+    blanketed = [p for pend in blanket.values() for p in pend]
+    [a] = g.add_family(RoleKind.APEX, ["a"], join=blanketed + t0 + s1)
+    [b] = g.add_family(RoleKind.APEX, ["b"], join=blanketed + t0)
+    [c] = g.add_family(RoleKind.APEX, ["c"], join=blanketed)
 
     for t, s in sorted(inst.edges):
         g.add_edge(t0[t], s0[s])
@@ -390,12 +331,10 @@ def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
         g.add_edge(t1[t], s1[s])
         g.add_edge(t2[t], s0[s])
 
-    xstar = g.add_vertex(RoleTag(RoleKind.OTHER, "xstar"))
-    for s in s1:
-        g.add_edge(xstar, s)
-    if t1:
-        for p in blanket[t1[0]][:ns]:  # |S| lowest-index blanket vertices
-            g.add_edge(xstar, p)
+    # x* also takes the |S| lowest-index blanket vertices of the first T1 copy.
+    [xstar] = g.add_family(
+        RoleKind.OTHER, ["xstar"], join=s1 + (blanket[t1[0]][:ns] if t1 else [])
+    )
 
     g.freeze()
     gm = GadgetMap(
@@ -495,47 +434,30 @@ def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:
     budget = 5 * m + k
 
     g = Graph()
-    xs = [g.add_vertex(RoleTag(RoleKind.X_SET, v)) for v in src.vertices()]
-    ys = [g.add_vertex(RoleTag(RoleKind.Y_SET, i)) for i in range(m)]
-    for i, (uv, vv) in enumerate(edges):
-        g.add_edge(xs[uv], ys[i])
-        g.add_edge(xs[vv], ys[i])
+    xs = g.add_family(RoleKind.X_SET, src.vertices())
+    ys = [
+        g.add_family(RoleKind.Y_SET, [i], join=[xs[a], xs[b]])[0]
+        for i, (a, b) in enumerate(edges)
+    ]
 
     cycles: list[list[int]] = []
     for i in range(m):
-        cyc = [g.add_vertex(RoleTag(RoleKind.CYCLE_C, (i, j))) for j in range(4)]
+        flanks = {i, (i + 1) % m}
+        cyc = g.add_family(
+            RoleKind.CYCLE_C, [(i, j) for j in range(4)], join=[ys[j] for j in flanks]
+        )
         for j in range(4):
             g.add_edge(cyc[j], cyc[(j + 1) % 4])
-        flanks = {i, (i + 1) % m}
-        for j in flanks:
-            for v in cyc:
-                g.add_edge(v, ys[j])
         cycles.append(cyc)
 
-    fs = [g.add_vertex(RoleTag(RoleKind.F_VERTEX, i)) for i in range(8)]
-    vf: list[list[int]] = []
-    for i, fv in enumerate(fs):
-        pend = [
-            g.add_vertex(RoleTag(RoleKind.PENDANT, (fv, j)))
-            for j in range(4 * budget)
-        ]
-        for p in pend:
-            g.add_edge(fv, p)
-        vf.append(pend)
-    for fv in fs[:5]:
-        for cyc in cycles:
-            for v in cyc:
-                g.add_edge(fv, v)
-    for fv in fs:
-        for y in ys:
-            g.add_edge(fv, y)
-
-    apex = g.add_vertex(RoleTag(RoleKind.APEX, "a"))
-    for x in xs:
-        g.add_edge(apex, x)
-    for pend in vf:
-        for p in pend:
-            g.add_edge(apex, p)
+    # Five of the eight helpers F also watch every cycle vertex.
+    fs = g.add_family(RoleKind.F_VERTEX, range(5), join=ys + [v for cyc in cycles for v in cyc])
+    fs += g.add_family(RoleKind.F_VERTEX, range(5, 8), join=ys)
+    vf = [
+        g.add_family(RoleKind.PENDANT, [(fv, j) for j in range(4 * budget)], join=[fv])
+        for fv in fs
+    ]
+    [apex] = g.add_family(RoleKind.APEX, ["a"], join=(v for part in [xs, *vf] for v in part))
 
     g.freeze()
     gm = GadgetMap(
@@ -581,16 +503,10 @@ def daf_to_da(inst: DAFInstance) -> tuple[DAInstance, GadgetMap]:
     mirrors: dict[int, int] = {}
     guards: dict[int, list[int]] = {}
     for x in sorted(inst.forbidden):
-        mirror = g.add_vertex(RoleTag(RoleKind.OTHER, ("mirror", x)))
-        pack = [
-            g.add_vertex(RoleTag(RoleKind.SQUARE, ("guard", x, j)))
-            for j in range(2 * inst.r)
-        ]
-        for w in pack:
-            g.add_edge(x, w)
-            g.add_edge(mirror, w)
-        mirrors[x] = mirror
-        guards[x] = pack
+        [mirrors[x]] = g.add_family(RoleKind.OTHER, [("mirror", x)])
+        guards[x] = g.add_family(
+            RoleKind.SQUARE, [("guard", x, j) for j in range(2 * inst.r)], join=[x, mirrors[x]]
+        )
     g.freeze()
     gm = GadgetMap(
         kind="daf",

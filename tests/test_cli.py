@@ -176,13 +176,19 @@ def test_gen_and_certify_stdout_pinned(kind, tmp_path, capsys):
     assert got[:2] == (code_given, out_given)
 
 
-# reduce on each GOLDEN_SEED_7 source: stdout and the sha256 of every file
-# written, recorded while the gadget map still kept its own copy of the
-# roles.  The roles in .gadgets.json are now read from the graph's tags; the
-# files must stay byte-identical.  The mrss map has more than ten int keys in
-# its `pendants` family, so its key order (string, not numeric) is pinned too.
-GOLDEN_REDUCE_SEED_7 = {
+# reduce on each GOLDEN_SEED_7 source, plus two sources seed 7 does not
+# cover: stdout and the sha256 of every file written, recorded while the gadget
+# map still kept its own copy of the roles (the five seed-7 rows) and before the
+# compilers built their gadget families through `Graph.add_family` (the last
+# two).  The files must stay byte-identical.  The mrss map has more than ten
+# int keys in its `pendants` family, so its key order (string, not numeric) is
+# pinned too.  `ds-circle-int` has integer chord labels and shows every weld
+# pattern, (first, first), (first, second) and (second, second);
+# `rbds-isolated` has an isolated terminal and isolated sources.
+GOLDEN_REDUCE = {
     "mrss": (
+        "mrss",
+        GOLDEN_SEED_7["mrss"][0],
         "mrss: n=22621 m=45288 budget=66 -> out.graph, out.budget, out.gadgets.json\n",
         {
             ".graph": "2c817f806c976f58ca110d6880ccebe695626920e6c5499b9e91b2dfae91d4fd",
@@ -191,6 +197,8 @@ GOLDEN_REDUCE_SEED_7 = {
         },
     ),
     "rbds": (
+        "rbds",
+        GOLDEN_SEED_7["rbds"][0],
         "rbds: n=689 m=2712 budget=7 -> out.graph, out.budget, out.gadgets.json\n",
         {
             ".graph": "625c44c4a7d4c1e4e4d953467836fa9c92701433cb92145963766b4b7907f930",
@@ -199,6 +207,8 @@ GOLDEN_REDUCE_SEED_7 = {
         },
     ),
     "vc": (
+        "vc",
+        GOLDEN_SEED_7["vc"][0],
         "vc: n=737 m=1580 budget=22 -> out.graph, out.budget, out.gadgets.json\n",
         {
             ".graph": "68ac5b4fe5cea0e3f60657412f32c76d49cdacdb80557c7a86d6d0a72fa7a4b0",
@@ -207,6 +217,8 @@ GOLDEN_REDUCE_SEED_7 = {
         },
     ),
     "ds-circle": (
+        "ds-circle",
+        GOLDEN_SEED_7["ds-circle"][0],
         "ds-circle: n=2730 m=3687 budget=299 -> "
         "out.graph, out.budget, out.gadgets.json, out.forbidden, out.diagram\n",
         {
@@ -218,6 +230,8 @@ GOLDEN_REDUCE_SEED_7 = {
         },
     ),
     "daf": (
+        "daf",
+        GOLDEN_SEED_7["daf"][0],
         "daf: n=9 m=10 budget=1 -> out.graph, out.budget, out.gadgets.json\n",
         {
             ".graph": "4bf87358f64b6d5b56a39f0ecf8b570493f2050599d7409b32b30c1d79dc0e30",
@@ -225,14 +239,37 @@ GOLDEN_REDUCE_SEED_7 = {
             ".gadgets.json": "4f11b95c5ba572273e74a890225ce45504d42a97b284469f1ae66471fa34aa93",
         },
     ),
+    "ds-circle-int": (
+        "ds-circle",
+        "d 0 1 0 2 1 2\nk 1\n",
+        "ds-circle: n=2766 m=3749 budget=298 -> "
+        "out.graph, out.budget, out.gadgets.json, out.forbidden, out.diagram\n",
+        {
+            ".graph": "25465e983653047e325682758711ab86036586c3bc2a84c8dbde077fdbf0e770",
+            ".budget": "b68cad9cd8e420a3e041a1b00ea41d0b5ae935301d48473a5636b9d1decebee8",
+            ".gadgets.json": "ea2c1e4a1e7f1175fe35709013e9512c13b7beea6b171c4c42e8e3609f2ddc7d",
+            ".forbidden": "1aae4f7c6359b4b44c0e5327a6e21501989cefb48205a7a860aa0cded5282a01",
+            ".diagram": "eb2ad54dacf8f64c348a0ff54e1a97677f4d3a5259c1321bd0944b18222e3d2b",
+        },
+    ),
+    "rbds-isolated": (
+        "rbds",
+        "rbds 3 3 1\ne 0 0\ne 1 0\n",
+        "rbds: n=787 m=3095 budget=8 -> out.graph, out.budget, out.gadgets.json\n",
+        {
+            ".graph": "e127912017e3bbdd75ef82a132e558fa6ead9ff7fe00b35f741ff76927bbcc07",
+            ".budget": "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8",
+            ".gadgets.json": "5c8d1ada3ef7f680c188dfdc401566db84c2842898abd03c7f41e6de7b742b2c",
+        },
+    ),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_SEED_7))
-def test_reduce_files_pinned(kind, tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(GOLDEN_REDUCE))
+def test_reduce_files_pinned(case, tmp_path, capsys):
+    kind, text, out, digests = GOLDEN_REDUCE[case]
     src = tmp_path / "inst"
-    src.write_text(GOLDEN_SEED_7[kind][0])
-    out, digests = GOLDEN_REDUCE_SEED_7[kind]
+    src.write_text(text)
     assert run(capsys, "reduce", kind, str(src), "--out", str(tmp_path / "out"))[:2] == (0, out)
     written = {p.name[len("out"):]: p for p in tmp_path.glob("out.*")}
     assert set(written) == set(digests)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from alliancelib.errors import DuplicateEdge, ParseError, SelfLoop, UnknownVertex
+from alliancelib.errors import DuplicateEdge, FrozenGraph, ParseError, SelfLoop, UnknownVertex
 from alliancelib.graph import (
     Graph,
     RoleKind,
@@ -45,6 +45,23 @@ def test_add_edge_and_errors():
         g.add_edge(1, 0)
     with pytest.raises(UnknownVertex):
         g.add_edge(0, 7)
+
+
+def test_add_family():
+    g = Graph()
+    hosts = g.add_vertices(2)
+    payloads = [("p", 2), "q", None]
+    ids = g.add_family(RoleKind.PENDANT, payloads, join=hosts)
+    assert ids == [2, 3, 4]
+    assert [g.tag(v) for v in ids] == [RoleTag(RoleKind.PENDANT, p) for p in payloads]
+    assert all(g.neighbors(v) == set(hosts) for v in ids)
+    assert g.neighbors(0) == g.neighbors(1) == set(ids)
+    assert g.add_family(RoleKind.APEX, ["a"]) == [5] and g.degree(5) == 0
+    with pytest.raises(DuplicateEdge):
+        g.add_family(RoleKind.SQUARE, [0], join=[0, 0])
+    g.freeze()
+    with pytest.raises(FrozenGraph):
+        g.add_family(RoleKind.SQUARE, [0])
 
 
 def test_deg_in():
