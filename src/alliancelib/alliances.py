@@ -151,9 +151,9 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     Every connected component of a defensive alliance is itself one (members
     have all their S-neighbours inside their own component), so any minimum
     alliance is connected.  The search therefore grows connected subsets from
-    each candidate seed, visiting each connected set exactly once via the
-    usual smallest-member/banned-extension scheme, pruned by the budget and
-    by the degree filter.  Ties are broken by size, then lexicographically.
+    each candidate seed, each connected set once (smallest-member/banned-
+    extension scheme), within the degree filter and never past the budget or
+    the best size found.  Ties are broken by size, then lexicographically.
     """
     g, k = inst.graph, inst.k
     allowed = candidate_filter(g, k) - frozenset(forbidden)
@@ -170,7 +170,7 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
 
     def grow(members: frozenset[int], ext: frozenset[int], banned: frozenset[int]) -> None:
         consider(members)
-        if len(members) == k:
+        if len(members) >= (k if best is None else best[0]):
             return
         dead = banned
         for u in sorted(ext):

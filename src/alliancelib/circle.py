@@ -23,8 +23,9 @@ from .errors import (
     ParseError,
     TooLarge,
     UnknownChord,
+    reader,
 )
-from .graph import Graph, RoleKind
+from .graph import Graph, RoleKind, read_rows
 from .reductions import (
     GadgetMap,
     first_subset,
@@ -139,7 +140,6 @@ def add_parallel_chords(
     v2: Label,
     count: int,
     side: str = "first",
-    names: Sequence[Label] | None = None,
 ) -> ChordDiagram:
     """Insert `count` mutually parallel chords crossing exactly v1 and v2.
 
@@ -172,10 +172,7 @@ def add_parallel_chords(
             f"{side} occurrences of {v1!r}/{v2!r} are not adjacent; "
             "parallel chords there would cross other chords"
         )
-    if names is None:
-        names = [f"{v1}.{v2}.{side}.{i + 1}" for i in range(count)]
-    if len(names) != count or len(set(names)) != count:
-        raise BadParams("need exactly `count` distinct names")
+    names = [f"{v1}.{v2}.{side}.{i + 1}" for i in range(count)]
     if set(names) & set(d.labels):
         raise BadParams("new chord names collide with existing labels")
     out: list[Label] = []
@@ -436,28 +433,21 @@ def _parse_tokens(tokens: list[str]) -> tuple[Label, ...]:
     return tuple(tokens)
 
 
+@reader
 def parse_diagram(text: str) -> ChordDiagram:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = read_rows(text)
     if len(rows) != 1 or rows[0][:1] != ["d"]:
         raise ParseError("expected a single 'd <tokens>' line")
-    try:
-        return ChordDiagram(_parse_tokens(rows[0][1:]))
-    except MalformedDiagram as exc:
-        raise ParseError(str(exc)) from exc
+    return ChordDiagram(_parse_tokens(rows[0][1:]))
 
 
 def write_ds_instance(inst: DSCircleInstance) -> str:
     return write_diagram(inst.diagram) + f"k {inst.k}\n"
 
 
+@reader
 def parse_ds_instance(text: str) -> DSCircleInstance:
     records, rest = read_records(text, ("d", "k"))
-    stray = [raw.split()[0] for raw in rest if raw.strip()]
-    if stray:
-        raise ParseError(f"unknown record '{stray[0]}'")
-    if "d" not in records or "k" not in records:
-        raise ParseError("DS instance needs a 'd' line and a 'k' line")
-    try:
-        return DSCircleInstance(ChordDiagram(_parse_tokens(records["d"])), read_budget(records))
-    except (MalformedDiagram, InvalidInstance) as exc:
-        raise ParseError(str(exc)) from exc
+    if "d" not in records or any(raw.strip() for raw in rest):
+        raise ParseError("expected one 'd <tokens>' line and one 'k <int>' line")
+    return DSCircleInstance(ChordDiagram(_parse_tokens(records["d"])), read_budget(records))

@@ -20,11 +20,13 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import (
+    AllianceError,
     DuplicateEdge,
     FrozenGraph,
     ParseError,
     SelfLoop,
     UnknownVertex,
+    reader,
 )
 
 
@@ -284,57 +286,45 @@ def parse_graph(text: str) -> Graph:
     n = m = None
     edge_lines = 0
     tagged: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise ParseError(f"line {lineno}: repeated header")
-            if len(fields) != 4 or fields[1] != "da":
-                raise ParseError(f"line {lineno}: expected 'p da <n> <m>'")
-            try:
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            fields = line.split()
+            if n is None and fields[0] != "p":
+                raise ParseError(f"'{fields[0]}' record before header")
+            if fields[0] == "e":
+                if len(fields) != 3:
+                    raise ParseError("expected 'e <u> <v>'")
+                g.add_edge(int(fields[1]), int(fields[2]))
+                edge_lines += 1
+            elif fields[0] == "p":
+                if n is not None:
+                    raise ParseError("repeated header")
+                if len(fields) != 4 or fields[1] != "da":
+                    raise ParseError("expected 'p da <n> <m>'")
                 n, m = int(fields[2]), int(fields[3])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad header counts") from exc
-            if n < 0 or m < 0:
-                raise ParseError(f"line {lineno}: negative counts")
-            g.add_vertices(n)
-        elif fields[0] == "e":
-            if n is None:
-                raise ParseError(f"line {lineno}: edge before header")
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad edge endpoints") from exc
-            try:
-                g.add_edge(u, v)
-            except (SelfLoop, DuplicateEdge, UnknownVertex) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            edge_lines += 1
-        elif fields[0] == "t":
-            if n is None:
-                raise ParseError(f"line {lineno}: tag before header")
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: expected 't <v> <tagname>'")
-            try:
+                if n < 0 or m < 0:
+                    raise ParseError("negative counts")
+                g.add_vertices(n)
+            elif fields[0] == "t":
+                if len(fields) != 3:
+                    raise ParseError("expected 't <v> <tagname>'")
                 v = int(fields[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad vertex id") from exc
-            if not 0 <= v < n:
-                raise ParseError(f"line {lineno}: vertex {v} out of range")
-            if v in tagged:
-                raise ParseError(f"line {lineno}: repeated 't' for vertex {v}")
-            tagged.add(v)
-            kind = _KIND_BY_NAME.get(fields[2])
-            if kind is None:
-                raise ParseError(f"line {lineno}: unknown tag '{fields[2]}'")
-            g._tags[v] = RoleTag(kind)
-        else:
-            raise ParseError(f"line {lineno}: unknown record '{fields[0]}'")
+                if not 0 <= v < n:
+                    raise ParseError(f"vertex {v} out of range")
+                if v in tagged:
+                    raise ParseError(f"repeated 't' for vertex {v}")
+                tagged.add(v)
+                kind = _KIND_BY_NAME.get(fields[2])
+                if kind is None:
+                    raise ParseError(f"unknown tag '{fields[2]}'")
+                g._tags[v] = RoleTag(kind)
+            else:
+                raise ParseError(f"unknown record '{fields[0]}'")
+    except (ValueError, AllianceError) as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise ParseError("missing 'p da' header")
     if edge_lines != m:
@@ -342,16 +332,17 @@ def parse_graph(text: str) -> Graph:
     return g.freeze()
 
 
+@reader
 def parse_id_list(spec: str | None, n: int) -> frozenset[int]:
     """Comma- or space-separated ids, each in range(n): vertices of an n-vertex
     graph, or the items of a source instance."""
-    if not spec:
-        return frozenset()
-    try:
-        ids = frozenset(int(tok) for tok in spec.replace(",", " ").split())
-    except ValueError as exc:
-        raise ParseError(f"bad id list {spec!r}") from exc
+    ids = frozenset(int(tok) for tok in (spec or "").replace(",", " ").split())
     bad = sorted(v for v in ids if not 0 <= v < n)
     if bad:
         raise ParseError(f"ids {bad} out of range (expected 0 <= id < {n})")
     return ids
+
+
+def read_rows(text: str) -> list[list[str]]:
+    """The fields of every nonblank line of `text`."""
+    return [line.split() for line in text.splitlines() if line.strip()]

@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance
-from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, UnknownVertex
-from .graph import Graph, RoleKind, parse_graph, write_graph
+from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, reader
+from .graph import Graph, RoleKind, parse_graph, read_rows, write_graph
 
 @dataclass(frozen=True)
 class GadgetMap:
@@ -534,21 +534,16 @@ def write_mrss(inst: MRSSInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+@reader
 def parse_mrss(text: str) -> MRSSInstance:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = read_rows(text)
     if not rows or rows[0][:1] != ["mrss"] or len(rows[0]) != 4:
         raise ParseError("expected 'mrss <k> <n> <k\\'>' header")
-    try:
-        k, n, kprime = (int(x) for x in rows[0][1:])
-        numbers = [tuple(int(x) for x in row) for row in rows[1:]]
-    except ValueError as exc:
-        raise ParseError("non-integer field in MRSS file") from exc
-    if len(numbers) != n + 1:
+    k, n, kprime = (int(x) for x in rows[0][1:])
+    numbers = [tuple(int(x) for x in row) for row in rows[1:]]
+    if n < 0 or len(numbers) != n + 1:
         raise ParseError(f"expected target plus {n} vectors, got {len(numbers)} rows")
-    try:
-        return MRSSInstance(k=k, vectors=tuple(numbers[1:]), target=numbers[0], kprime=kprime)
-    except InvalidInstance as exc:
-        raise ParseError(str(exc)) from exc
+    return MRSSInstance(k=k, vectors=tuple(numbers[1:]), target=numbers[0], kprime=kprime)
 
 
 def write_rbds(inst: RBDSInstance) -> str:
@@ -558,32 +553,24 @@ def write_rbds(inst: RBDSInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+@reader
 def parse_rbds(text: str) -> RBDSInstance:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    rows = read_rows(text)
     if not rows or rows[0][:1] != ["rbds"] or len(rows[0]) != 4:
         raise ParseError("expected 'rbds <|T|> <|S|> <k>' header")
-    try:
-        nt, ns, k = (int(x) for x in rows[0][1:])
-    except ValueError as exc:
-        raise ParseError("non-integer field in RBDS header") from exc
+    nt, ns, k = (int(x) for x in rows[0][1:])
     edges = []
     for row in rows[1:]:
         if row[0] != "e" or len(row) != 3:
             raise ParseError(f"expected 'e <t> <s>', got {' '.join(row)}")
-        try:
-            edges.append((int(row[1]), int(row[2])))
-        except ValueError as exc:
-            raise ParseError("non-integer edge endpoint") from exc
-    try:
-        return RBDSInstance(nt, ns, tuple(edges), k)
-    except InvalidInstance as exc:
-        raise ParseError(str(exc)) from exc
+        edges.append((int(row[1]), int(row[2])))
+    return RBDSInstance(nt, ns, tuple(edges), k)
 
 
 def read_records(text: str, tags: tuple[str, ...]) -> tuple[dict[str, list[str]], list[str]]:
     """Pull the once-per-file records whose first field is in `tags` out of
-    `text`: their remaining fields by tag, and the other lines in order.  A
-    repeated record is an error, never a silent overwrite."""
+    `text`: their remaining fields by tag, and every line with those records
+    blanked, so line numbers hold.  A repeated record is an error."""
     records: dict[str, list[str]] = {}
     rest: list[str] = []
     for raw in text.splitlines():
@@ -592,46 +579,32 @@ def read_records(text: str, tags: tuple[str, ...]) -> tuple[dict[str, list[str]]
             if fields[0] in records:
                 raise ParseError(f"repeated '{fields[0]}' record")
             records[fields[0]] = fields[1:]
-        else:
-            rest.append(raw)
+            raw = ""
+        rest.append(raw)
     return records, rest
 
 
 def read_budget(records: dict[str, list[str]]) -> int:
     """The budget held by the 'k <int>' record of `read_records`."""
-    if "k" not in records:
-        raise ParseError("missing 'k <int>' line")
-    if len(records["k"]) != 1:
-        raise ParseError("expected 'k <int>'")
-    try:
-        return int(records["k"][0])
-    except ValueError as exc:
-        raise ParseError("bad budget") from exc
+    if len(records.get("k", ())) != 1:
+        raise ParseError("expected one 'k <int>' line")
+    return int(records["k"][0])
 
 
-def _split_budget_lines(text: str) -> tuple[str, int, list[int] | None]:
-    """Separate graph lines from the 'k' and optional 'f' records."""
-    records, graph_lines = read_records(text, ("k", "f"))
-    k = read_budget(records)
-    try:
-        forb = None if "f" not in records else [int(x) for x in records["f"]]
-    except ValueError as exc:
-        raise ParseError("bad forbidden list") from exc
-    return "\n".join(graph_lines) + "\n", k, forb
+def _read_budgeted_graph(text: str, tags: tuple[str, ...]) -> tuple[Graph, int, dict]:
+    """Graph, 'k' budget and `tags` records of a graph file with a budget."""
+    records, graph_lines = read_records(text, tags)
+    return parse_graph("\n".join(graph_lines)), read_budget(records), records
 
 
 def write_vc(inst: VC3Instance) -> str:
     return write_graph(inst.graph) + f"k {inst.k}\n"
 
 
+@reader
 def parse_vc(text: str) -> VC3Instance:
-    graph_text, k, forb = _split_budget_lines(text)
-    if forb is not None:
-        raise ParseError("VC instances carry no forbidden list")
-    try:
-        return VC3Instance(parse_graph(graph_text), k)
-    except (InvalidInstance, DegreeTooHigh) as exc:
-        raise ParseError(str(exc)) from exc
+    graph, k, _ = _read_budgeted_graph(text, ("k",))
+    return VC3Instance(graph, k)
 
 
 def write_daf(inst: DAFInstance) -> str:
@@ -641,9 +614,7 @@ def write_daf(inst: DAFInstance) -> str:
     return out
 
 
+@reader
 def parse_daf(text: str) -> DAFInstance:
-    graph_text, k, forb = _split_budget_lines(text)
-    try:
-        return DAFInstance(parse_graph(graph_text), k, frozenset(forb or ()))
-    except (InvalidInstance, UnknownVertex) as exc:
-        raise ParseError(str(exc)) from exc
+    graph, k, records = _read_budgeted_graph(text, ("k", "f"))
+    return DAFInstance(graph, k, frozenset(int(v) for v in records.get("f", ())))

@@ -100,6 +100,15 @@ def test_brute_force_guard():
     assert brute_force_min_da(g, max_size=1) == Witness((0,))
 
 
+def test_brute_force_work_guard():
+    # A capped enumeration is refused before it starts once the number of
+    # subsets it would try passes the work limit: 30 choose <= 6 is ~768k,
+    # 60 choose <= 6 is ~56M.
+    assert brute_force_min_da(build_graph(30, []), max_size=6) == Witness((0,))
+    with pytest.raises(TooLarge, match="would enumerate"):
+        brute_force_min_da(build_graph(60, []), max_size=6)
+
+
 def test_brute_force_max_size():
     c6 = cycle(6)
     assert brute_force_min_da(c6, max_size=1) is None

@@ -26,6 +26,7 @@ from alliancelib.errors import (
     ChordsDoNotCross,
     MalformedDiagram,
     ParseError,
+    TooLarge,
     UnknownChord,
 )
 from alliancelib.graph import Graph, write_graph
@@ -164,6 +165,16 @@ def test_solve_ds_examples():
     assert solve_ds_bruteforce(
         DSCircleInstance(ChordDiagram(("a", "a", "b", "b")), 2)
     ) == ("a", "b")
+
+
+def test_solve_ds_bruteforce_guard():
+    # n pairwise crossing chords; 21 is one past the brute-force guard.
+    def crossing(n):
+        return DSCircleInstance(ChordDiagram(tuple(range(n)) * 2), 1)
+
+    assert solve_ds_bruteforce(crossing(20)) == (0,)
+    with pytest.raises(TooLarge):
+        solve_ds_bruteforce(crossing(21))
 
 
 def test_ds_to_daf_k3():
