@@ -13,7 +13,6 @@ from .alliances import (
 from .circle import (
     ChordDiagram,
     DSCircleInstance,
-    add_parallel_chords,
     crossing_pairs,
     ds_extract_certificate,
     ds_forward_certificate,
@@ -21,8 +20,6 @@ from .circle import (
     intersection_graph,
     parse_diagram,
     solve_ds_bruteforce,
-    split_chord,
-    traversal_sequence,
     write_diagram,
 )
 from .graph import (

@@ -1,4 +1,4 @@
-"""Defensive-alliance predicate, a brute-force oracle, and an exact solver.
+"""Defensive-alliance predicate, the oracles' exhaustive search, and an exact solver.
 
 A nonempty vertex set S is a defensive alliance when every member has, with
 itself, at least as many defenders as attackers: deg_in(v,S)+1 >= deg(v) -
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInstance, TooLarge
 from .graph import Graph
@@ -104,6 +104,18 @@ def is_daf_feasible(inst: DAFInstance, s: Iterable[int]) -> bool:
     return certifies(inst, frozenset(s))
 
 
+def first_subset(
+    items: Sequence[int], max_size: int, ok: Callable[[set[int]], bool]
+) -> tuple[int, ...] | None:
+    """Lexicographically first subset of `items` satisfying `ok`, trying
+    sizes 0..max_size in order: the search behind every exhaustive oracle."""
+    for size in range(min(max_size, len(items)) + 1):
+        for subset in combinations(items, size):
+            if ok(set(subset)):
+                return subset
+    return None
+
+
 def brute_force_min_da(
     g: Graph,
     forbidden: Iterable[int] = (),
@@ -127,12 +139,10 @@ def brute_force_min_da(
         if work > _ORACLE_WORK_LIMIT:
             raise TooLarge(f"capped brute force would enumerate {work} subsets")
     adj = g._adj
-    for size in range(1, top + 1):
-        for subset in combinations(pool, size):
-            ss = frozenset(subset)
-            if all(2 * len(adj[v] & ss) + 1 >= len(adj[v]) for v in subset):
-                return Witness(subset)
-    return None
+    found = first_subset(pool, top, lambda chosen: bool(chosen) and all(
+        2 * len(adj[v] & chosen) + 1 >= len(adj[v]) for v in chosen
+    ))
+    return None if found is None else Witness(found)
 
 
 def candidate_filter(g: Graph, k: int) -> frozenset[int]:

@@ -14,21 +14,17 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .alliances import BRUTE_FORCE_LIMIT, DAFInstance
+from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, first_subset
 from .errors import (
-    BadParams,
-    ChordsDoNotCross,
     InvalidInstance,
     MalformedDiagram,
     ParseError,
     TooLarge,
-    UnknownChord,
     reader,
 )
 from .graph import Graph, RoleKind, read_rows
 from .reductions import (
     GadgetMap,
-    first_subset,
     read_budget,
     read_records,
 )
@@ -60,12 +56,6 @@ class ChordDiagram:
 
     def chords(self) -> list[Label]:
         return sorted(set(self.labels))
-
-    def occurrences(self) -> dict[Label, tuple[int, int]]:
-        occ: dict[Label, list[int]] = {}
-        for pos, lab in enumerate(self.labels):
-            occ.setdefault(lab, []).append(pos)
-        return {lab: (p[0], p[1]) for lab, p in occ.items()}
 
 
 def crossing_pairs(seq: Sequence[Label]) -> Iterator[tuple[Label, Label]]:
@@ -110,88 +100,6 @@ def intersection_graph(d: ChordDiagram) -> Graph:
     return g.freeze()
 
 
-def split_chord(d: ChordDiagram, v: Label) -> ChordDiagram:
-    """Replace chord v by a crossing twin pair v_1, v_2.
-
-    Both twins inherit exactly v's crossings and additionally cross each
-    other: each occurrence of v becomes the adjacent pair (v_1, v_2), so the
-    twins interleave with one another and shadow v against every other chord.
-    New labels are strings, so the diagram must be string-labelled.
-    """
-    if v not in d.labels:
-        raise UnknownChord(f"no chord {v!r}")
-    if not all(isinstance(lab, str) for lab in d.labels):
-        raise MalformedDiagram("split_chord requires string chord labels")
-    a, b = f"{v}_1", f"{v}_2"
-    if a in d.labels or b in d.labels:
-        raise MalformedDiagram(f"labels {a}/{b} already taken")
-    out: list[Label] = []
-    for lab in d.labels:
-        if lab == v:
-            out.extend((a, b))
-        else:
-            out.append(lab)
-    return ChordDiagram(tuple(out))
-
-
-def add_parallel_chords(
-    d: ChordDiagram,
-    v1: Label,
-    v2: Label,
-    count: int,
-    side: str = "first",
-) -> ChordDiagram:
-    """Insert `count` mutually parallel chords crossing exactly v1 and v2.
-
-    The chords are nested around the chosen occurrence pair of v1 and v2
-    (side "first" or "second"), which must be circularly adjacent so the new
-    chords cannot pick up third-party crossings.  Chord pairs produced by
-    split_chord always qualify.
-    """
-    if count < 0:
-        raise BadParams("count must be >= 0")
-    if side not in ("first", "second"):
-        raise BadParams(f"side must be 'first' or 'second', not {side!r}")
-    occ = d.occurrences()
-    if v1 not in occ or v2 not in occ:
-        raise UnknownChord(f"missing chord {v1!r} or {v2!r}")
-    p1, p2 = occ[v1]
-    q1, q2 = occ[v2]
-    if (p1 < q1 < p2) == (p1 < q2 < p2):
-        raise ChordsDoNotCross(f"{v1!r} and {v2!r} do not cross")
-    if count == 0:
-        return d
-    length = len(d.labels)
-    filler = (p1, q1) if side == "first" else (p2, q2)
-    if (filler[0] + 1) % length == filler[1]:
-        earlier, later = filler
-    elif (filler[1] + 1) % length == filler[0]:
-        earlier, later = filler[1], filler[0]
-    else:
-        raise MalformedDiagram(
-            f"{side} occurrences of {v1!r}/{v2!r} are not adjacent; "
-            "parallel chords there would cross other chords"
-        )
-    names = [f"{v1}.{v2}.{side}.{i + 1}" for i in range(count)]
-    if set(names) & set(d.labels):
-        raise BadParams("new chord names collide with existing labels")
-    out: list[Label] = []
-    for idx, lab in enumerate(d.labels):
-        if idx == earlier:
-            out.extend(names)
-        out.append(lab)
-        if idx == later:
-            out.extend(reversed(names))
-    return ChordDiagram(tuple(out))
-
-
-def traversal_sequence(d: ChordDiagram, start: int = 0) -> tuple[Label, ...]:
-    """Chord labels in endpoint order counterclockwise from `start`."""
-    if d.labels and not 0 <= start < len(d.labels):
-        raise BadParams(f"start {start} out of range")
-    return d.labels[start:] + d.labels[:start]
-
-
 @dataclass(frozen=True)
 class DSCircleInstance:
     diagram: ChordDiagram
@@ -209,7 +117,7 @@ def solve_ds_bruteforce(inst: DSCircleInstance) -> tuple[Label, ...] | None:
         raise TooLarge(f"DS brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
     g = intersection_graph(d)
     chords = d.chords()
-    found = first_subset(g.n, inst.k, lambda chosen: all(
+    found = first_subset(range(g.n), inst.k, lambda chosen: all(
         v in chosen or g.neighbors(v) & chosen for v in g.vertices()
     ))
     return None if found is None else tuple(chords[i] for i in found)

@@ -13,14 +13,16 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .alliances import DAInstance, certifies, is_defensive_alliance, solve_da, target_budget, target_forbidden
+from .alliances import DAInstance, certifies, solve_da, target_budget, target_forbidden
 from .circle import write_diagram
 from .errors import AllianceError, BadParams, ParseError
 from .graph import parse_graph, parse_id_list, write_graph
 from .kinds import REDUCTIONS
 
-# The commands reach every compiler through REDUCTIONS; these names stay bound
-# here because perfbench's traced mode wraps them on this module by attribute.
+# The commands reach every compiler through REDUCTIONS and `check` reads its
+# verdict off its ledger; these names stay bound here because perfbench's
+# traced mode wraps them on this module by attribute.
+from .alliances import is_defensive_alliance  # noqa: F401
 from .circle import ds_to_daf, parse_ds_instance  # noqa: F401
 from .reductions import mrss_to_da, parse_mrss, parse_rbds, parse_vc, rbds_to_da, vc_to_da  # noqa: F401
 
@@ -43,15 +45,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     members = parse_id_list(args.set, g.n)
     forbidden = parse_id_list(args.forbidden, g.n)
+    protected = []
     for v in sorted(members):
         inside = g.deg_in(v, members)
         outside = g.degree(v) - inside
-        status = "protected" if inside + 1 >= outside else "UNPROTECTED"
+        protected.append(inside + 1 >= outside)
+        status = "protected" if protected[-1] else "UNPROTECTED"
         print(f"v={v} deg={g.degree(v)} in={inside} out={outside} {status}")
     clash = sorted(members & forbidden)
     if clash:
         print(f"forbidden members: {clash}")
-    ok = is_defensive_alliance(g, members) and not clash
+    # An empty ledger is the empty set, which is never an alliance.
+    ok = bool(protected) and all(protected) and not clash
     print(f"verdict: {'defensive alliance' if ok else 'not a defensive alliance'}")
     return 0 if ok else 1
 

@@ -39,14 +39,6 @@ class MalformedDiagram(AllianceError):
     pass
 
 
-class UnknownChord(AllianceError):
-    pass
-
-
-class ChordsDoNotCross(AllianceError):
-    pass
-
-
 class ParseError(AllianceError):
     pass
 

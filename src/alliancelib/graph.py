@@ -261,7 +261,7 @@ def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
 
 # -- text format -----------------------------------------------------------
 #
-#   c <free text>            optional comments, anywhere before the header
+#   c <free text>            optional comment lines, anywhere in the file
 #   p da <n> <m>
 #   e <u> <v>                m lines, 0-based endpoints
 #   t <v> <tagname>          optional role tags (vertices default to original)
@@ -288,10 +288,9 @@ def parse_graph(text: str) -> Graph:
     tagged: set[int] = set()
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
+            fields = raw.split()
+            if not fields or fields[0] == "c":
                 continue
-            fields = line.split()
             if n is None and fields[0] != "p":
                 raise ParseError(f"'{fields[0]}' record before header")
             if fields[0] == "e":

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance
+from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance, first_subset
 from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, reader
 from .graph import Graph, RoleKind, parse_graph, read_rows, write_graph
 
@@ -82,24 +81,12 @@ class MRSSInstance:
             raise InvalidInstance("target entries must be non-negative")
 
 
-def first_subset(
-    n: int, max_size: int, ok: Callable[[set[int]], bool]
-) -> tuple[int, ...] | None:
-    """Lexicographically first subset of range(n) satisfying `ok`, trying
-    sizes 0..max_size in order: the search behind every source oracle."""
-    for size in range(min(max_size, n) + 1):
-        for subset in combinations(range(n), size):
-            if ok(set(subset)):
-                return subset
-    return None
-
-
 def solve_mrss_bruteforce(inst: MRSSInstance) -> tuple[int, ...] | None:
     """Lexicographically first subset of size <= kprime with sum >= target."""
     n = len(inst.vectors)
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"MRSS brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
-    return first_subset(n, inst.kprime, lambda chosen: all(
+    return first_subset(range(n), inst.kprime, lambda chosen: all(
         sum(inst.vectors[i][d] for i in chosen) >= t for d, t in enumerate(inst.target)
     ))
 
@@ -294,7 +281,9 @@ def solve_rbds_bruteforce(inst: RBDSInstance) -> tuple[int, ...] | None:
     nbrs = [set() for _ in range(inst.n_terminals)]
     for t, s in inst.edges:
         nbrs[t].add(s)
-    return first_subset(inst.n_sources, inst.k, lambda chosen: all(nb & chosen for nb in nbrs))
+    return first_subset(
+        range(inst.n_sources), inst.k, lambda chosen: all(nb & chosen for nb in nbrs)
+    )
 
 
 def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
@@ -408,7 +397,7 @@ def solve_vc_bruteforce(inst: VC3Instance) -> tuple[int, ...] | None:
         raise TooLarge(f"VC brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
     edges = list(g.edges())
     return first_subset(
-        g.n, inst.k, lambda chosen: all(u in chosen or v in chosen for u, v in edges)
+        range(g.n), inst.k, lambda chosen: all(u in chosen or v in chosen for u, v in edges)
     )
 
 

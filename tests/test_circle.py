@@ -7,9 +7,6 @@ from alliancelib.alliances import is_daf_feasible, is_defensive_alliance
 from alliancelib.circle import (
     ChordDiagram,
     DSCircleInstance,
-    add_parallel_chords,
-    chord_ids,
-    crossing_pairs,
     ds_extract_certificate,
     ds_forward_certificate,
     ds_to_daf,
@@ -17,19 +14,11 @@ from alliancelib.circle import (
     parse_diagram,
     parse_ds_instance,
     solve_ds_bruteforce,
-    split_chord,
-    traversal_sequence,
     write_diagram,
     write_ds_instance,
 )
-from alliancelib.errors import (
-    ChordsDoNotCross,
-    MalformedDiagram,
-    ParseError,
-    TooLarge,
-    UnknownChord,
-)
-from alliancelib.graph import Graph, write_graph
+from alliancelib.errors import MalformedDiagram, ParseError, TooLarge
+from alliancelib.graph import write_graph
 
 K3_DIAGRAM = ChordDiagram(("a", "b", "c", "a", "b", "c"))
 
@@ -65,97 +54,6 @@ def test_intersection_graph_rotation_reversal_invariance():
             rotated = ChordDiagram(d.labels[shift:] + d.labels[:shift])
             assert intersection_graph(rotated) == g
         assert intersection_graph(ChordDiagram(d.labels[::-1])) == g
-
-
-def test_split_chord_examples():
-    two = split_chord(ChordDiagram(("v", "v")), "v")
-    assert list(intersection_graph(two).edges()) == [(0, 1)]
-    with pytest.raises(UnknownChord):
-        split_chord(K3_DIAGRAM, "z")
-    # splitting all of K3's chords gives the full twin graph on 6 vertices
-    d = K3_DIAGRAM
-    for lab in ("a", "b", "c"):
-        d = split_chord(d, lab)
-    assert list(intersection_graph(d).edges()) == list(
-        itertools.combinations(range(6), 2)
-    )
-
-
-def test_split_matches_direct_twin_construction():
-    rng = random.Random(2)
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        d = random_diagram(rng, n)
-        base = intersection_graph(d)
-        split = d
-        for lab in d.chords():
-            split = split_chord(split, lab)
-        got = intersection_graph(split)
-        # direct construction: v -> v_1, v_2 in sorted label order
-        want = Graph()
-        want.add_vertices(2 * n)
-        for v in range(n):
-            want.add_edge(2 * v, 2 * v + 1)
-        for u, v in base.edges():
-            for i in (0, 1):
-                for j in (0, 1):
-                    want.add_edge(2 * u + i, 2 * v + j)
-        assert list(got.edges()) == list(want.freeze().edges())
-
-
-def test_add_parallel_chords():
-    d = split_chord(ChordDiagram(("v", "v")), "v")
-    grown = add_parallel_chords(d, "v_1", "v_2", 7, side="first")
-    g = intersection_graph(grown)
-    ids = chord_ids(grown)
-    new = [lab for lab in grown.chords() if lab not in ("v_1", "v_2")]
-    assert len(new) == 7
-    for lab in new:
-        assert g.neighbors(ids[lab]) == {ids["v_1"], ids["v_2"]}
-    # the host pair still crosses, and nothing else changed
-    assert ids["v_2"] in g.neighbors(ids["v_1"])
-    assert add_parallel_chords(d, "v_1", "v_2", 0) == d
-
-
-def test_add_parallel_chords_both_sides_biclique_only():
-    rng = random.Random(3)
-    for _ in range(10):
-        d = random_diagram(rng, rng.randint(1, 4))
-        lab = rng.choice(d.chords())
-        split = split_chord(d, lab)
-        for side in ("first", "second"):
-            grown = add_parallel_chords(split, f"{lab}_1", f"{lab}_2", 3, side=side)
-            old_edges = {
-                (a, b) for a, b in (tuple(sorted(p)) for p in crossing_pairs(split.labels))
-            }
-            new_edges = {
-                (a, b) for a, b in (tuple(sorted(p)) for p in crossing_pairs(grown.labels))
-            }
-            added = new_edges - old_edges
-            names = set(grown.chords()) - set(split.chords())
-            assert added == {
-                tuple(sorted((x, v))) for x in names for v in (f"{lab}_1", f"{lab}_2")
-            }
-
-
-def test_add_parallel_chords_errors():
-    d = ChordDiagram(("a", "a", "b", "b"))
-    with pytest.raises(ChordsDoNotCross):
-        add_parallel_chords(d, "a", "b", 1)
-    # crossing chords whose chosen corner is blocked by a third chord
-    blocked = ChordDiagram(("a", "c", "b", "c", "a", "b"))
-    with pytest.raises(MalformedDiagram):
-        add_parallel_chords(blocked, "a", "b", 1, side="first")
-
-
-def test_traversal_sequence():
-    assert traversal_sequence(K3_DIAGRAM, 0) == ("a", "b", "c", "a", "b", "c")
-    assert traversal_sequence(ChordDiagram(("v", "v"))) == ("v", "v")
-    rng = random.Random(4)
-    for _ in range(10):
-        d = random_diagram(rng, rng.randint(1, 5))
-        rev = ChordDiagram(d.labels[::-1])
-        assert traversal_sequence(rev, 0) == traversal_sequence(d, 0)[::-1]
 
 
 def test_solve_ds_examples():

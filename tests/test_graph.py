@@ -210,3 +210,5 @@ def test_graph_format_rejects_repeated_tag():
 def test_graph_format_ignores_comments():
     g = parse_graph("c budget 17\np da 2 1\ne 0 1\n")
     assert g.n == 2 and g.m == 1
+    g = parse_graph("p da 2 1\nc after the header\ne 0 1\nc\n")
+    assert g.n == 2 and g.m == 1

@@ -39,6 +39,8 @@ REJECTED = [
     pytest.param(parse_graph, "c no header\n", None, id="graph-missing-header"),
     pytest.param(parse_graph, "p da 2 1\ne 1 1\n", 2, id="graph-self-loop"),
     pytest.param(parse_graph, "p da 2 1\ne -1 0\n", 2, id="graph-negative-endpoint"),
+    pytest.param(parse_graph, "p da 2 1\ne 0 1\ncrap\n", 3, id="graph-c-prefixed-record"),
+    pytest.param(parse_graph, "cx 0 0\np da 1 0\n", 1, id="graph-c-prefixed-before-header"),
     pytest.param(parse_mrss, "mrss 1 1\n1\n1\n", None, id="mrss-short-header"),
     pytest.param(parse_mrss, "rbds 1 1 1\n1\n1\n", None, id="mrss-wrong-header"),
     pytest.param(parse_rbds, "rbds 1 x 1\n", None, id="rbds-non-integer-header"),
