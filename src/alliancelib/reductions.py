@@ -15,11 +15,45 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance, first_subset
 from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, reader
 from .graph import Graph, RoleKind, parse_graph, read_rows, write_graph
+
+
+def _json(obj: object, depth: int) -> str:
+    """`obj` as `json.dumps(..., sort_keys=True, indent=1)` writes it `depth`
+    levels deep, with every dict key passed through `str()` first (so a
+    later key wins when two collide)."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    sep = ",\n" + " " * (depth + 1)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_json(x, depth + 1) for x in obj])
+        return f"[{sep[1:]}{body}{sep[1:-1]}]"
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        if not items:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_json(items[k], depth + 1)}" for k in sorted(items)])
+        return f"{{{sep[1:]}{body}{sep[1:-1]}}}"
+    return json.dumps(obj)  # floats, and json's own error for an unsupported type
+
 
 @dataclass(frozen=True)
 class GadgetMap:
@@ -27,8 +61,10 @@ class GadgetMap:
 
     `graph` is the compiled target graph, whose vertex tags are the roles;
     `families` maps family names (as used by the construction, e.g. "H",
-    "x_center", "cycles") to id lists / nested id lists keyed the same way
-    the source instance is indexed.
+    "x_center", "cycles") to JSON-like values indexed the same way as the
+    source instance: single ids, id lists and nested id lists, dicts keyed
+    by source label (`ds-circle`), integer parameters (`N`, `ell`) and
+    lists of id pairs (`pairs`, `source_edges`).
     """
 
     kind: str
@@ -36,17 +72,30 @@ class GadgetMap:
     families: dict[str, object]
 
     def to_json(self) -> str:
-        def encode(obj: object) -> object:
-            if isinstance(obj, (list, tuple)):
-                return [encode(x) for x in obj]
-            if isinstance(obj, dict):
-                return {str(k): encode(v) for k, v in obj.items()}
-            return obj
-
-        tags = enumerate(map(self.graph.tag, self.graph.vertices()))
-        roles = {str(v): {"kind": t.kind.value, "payload": t.payload} for v, t in tags}
-        payload = {"kind": self.kind, "roles": roles, "families": encode(self.families)}
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        """The `.gadgets.json` text: `{"families", "kind", "roles"}`, keys
+        sorted, one-space indent, dict keys as strings, tuples as lists;
+        `roles` maps each vertex id, in string order, to its tag's kind and
+        payload.  Byte-equal to `json.dumps` of that object with
+        `sort_keys=True, indent=1`, plus a newline, written in one pass."""
+        tags = self.graph._tags
+        heads = {
+            role: f'": {{\n   "kind": {_quote(role.value)},\n   "payload": ' for role in RoleKind
+        }
+        families, kind = _json(self.families, 1), _json(self.kind, 1)
+        out = [f'{{\n "families": {families},\n "kind": {kind},\n "roles": ']
+        sep = '{\n  "'
+        for v in sorted(range(len(tags)), key=str):
+            tag = tags[v]
+            payload = tag.payload
+            # Most payloads are flat int tuples: write them without a call.
+            if type(payload) is tuple and payload and all(type(x) is int for x in payload):
+                text = "[\n    " + ",\n    ".join(map(int.__repr__, payload)) + "\n   ]"
+            else:
+                text = _json(payload, 3)
+            out.append(f"{sep}{v}{heads[tag.kind]}{text}")
+            sep = '\n  },\n  "'
+        out.append("\n  }\n }\n}\n" if tags else "{}\n}\n")
+        return "".join(out)
 
 
 # ---------------------------------------------------------------------------
