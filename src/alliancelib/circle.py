@@ -276,11 +276,15 @@ def ds_to_daf(
         tokens.append(tok)
     diagram = ChordDiagram(tuple(tokens))
 
-    got = {(min(a, b), max(a, b)) for a, b in crossing_pairs(diagram.labels)}
-    want = set(g.edges())
-    if got != want:
+    crossings: list[set[int]] = [set() for _ in range(g.n)]
+    for a, b in crossing_pairs(diagram.labels):
+        crossings[a].add(b)
+        crossings[b].add(a)
+    if crossings != g._adj:
+        extra = sum(len(c - nb) for c, nb in zip(crossings, g._adj)) // 2
+        missing = sum(len(nb - c) for c, nb in zip(crossings, g._adj)) // 2
         raise AssertionError(
-            f"diagram/graph mismatch: {len(got - want)} extra, {len(want - got)} missing crossings"
+            f"diagram/graph mismatch: {extra} extra, {missing} missing crossings"
         )
 
     gm = GadgetMap(

@@ -7,9 +7,12 @@ is frozen by the code that finishes it, after which any mutation raises.
 
 The compilers build every gadget family with one call, `add_family`: a run of
 fresh vertices, one per payload, each tagged with the family's role and joined
-to the same host vertices.  Since ids follow creation order, a compiler must
-create its families in the order that numbers them; the order in which edges
-are added does not matter, as adjacency is a set and the writer sorts edges.
+to the same host vertices.  It checks each host once (in range, not one of the
+family's own vertices, not repeated) and joins the whole family to it with set
+operations, rather than through one `add_edge` per edge.  Since ids follow
+creation order, a compiler must create its families in the order that numbers
+them; the order in which edges are added does not matter, as adjacency is a
+set and the writer sorts edges.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ class RoleKind(Enum):
     OTHER = "other"
 
 
-_KIND_BY_NAME = {kind.value: kind for kind in RoleKind}
-
-
 @dataclass(frozen=True)
 class RoleTag:
     """Gadget role of a constructed vertex; payload is a source annotation."""
@@ -68,6 +68,8 @@ class RoleTag:
 
 
 ORIGINAL = RoleTag(RoleKind.ORIGINAL)
+# The tag a 't' line names; tags are frozen, so every such line shares one.
+_TAG_BY_NAME = {kind.value: RoleTag(kind) for kind in RoleKind}
 
 
 class Graph:
@@ -82,26 +84,50 @@ class Graph:
 
     # -- construction -----------------------------------------------------
 
-    def add_vertex(self, tag: RoleTag = ORIGINAL) -> int:
+    def _grow(self, tags: list[RoleTag]) -> range:
+        """Append one isolated vertex per tag; returns the new ids."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
-        self._adj.append(set())
-        self._tags.append(tag)
-        return len(self._adj) - 1
+        start = len(self._adj)
+        self._adj.extend([set() for _ in tags])
+        self._tags.extend(tags)
+        return range(start, len(self._adj))
+
+    def add_vertex(self, tag: RoleTag = ORIGINAL) -> int:
+        return self._grow([tag])[0]
 
     def add_vertices(self, count: int, tag: RoleTag = ORIGINAL) -> list[int]:
-        return [self.add_vertex(tag) for _ in range(count)]
+        return list(self._grow([tag] * count))
 
     def add_family(
         self, kind: RoleKind, payloads: Iterable[object], join: Iterable[int] = ()
     ) -> list[int]:
         """One fresh vertex tagged RoleTag(kind, payload) per payload, in
         order, each joined to every vertex of `join`; returns the new ids.
-        `join` is read once, so it may be a generator."""
-        ids = [self.add_vertex(RoleTag(kind, payload)) for payload in payloads]
+        `join` is read once, so it may be a generator.  Each host is checked
+        once, as `add_edge` would check its edges to the family."""
+        # One list of ids: every neighbour set then holds the same int objects.
+        ids = list(self._grow([RoleTag(kind, payload) for payload in payloads]))
+        if not ids:
+            return ids
+        adj = self._adj
+        first = ids[0]
+        hosts: set[int] = set()
         for host in join:
-            for v in ids:
-                self.add_edge(host, v)
+            if not 0 <= host < first:
+                if first <= host < len(adj):
+                    raise SelfLoop(f"self-loop at {host}")
+                self._check_vertex(host)
+            if host in hosts:
+                raise DuplicateEdge(f"edge ({host},{first}) already present")
+            hosts.add(host)
+        # Join only once every host has passed, so a failed call adds no edge.
+        for host in hosts:
+            adj[host].update(ids)
+        # The last vertex takes `hosts` itself: a copy per vertex costs memory.
+        for v in ids[:-1]:
+            adj[v].update(hosts)
+        adj[ids[-1]] = hosts
         return ids
 
     def add_edge(self, u: int, v: int) -> None:
@@ -109,13 +135,16 @@ class Graph:
             raise FrozenGraph("graph is frozen")
         if u == v:
             raise SelfLoop(f"self-loop at {u}")
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if v in self._adj[u]:
+        adj = self._adj
+        n = len(adj)
+        if not (0 <= u < n and 0 <= v < n):
+            self._check_vertex(u)
+            self._check_vertex(v)
+        if v in adj[u]:
             # Gadget builders must be edge-exact; a repeat is a bug upstream.
             raise DuplicateEdge(f"edge ({u},{v}) already present")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        adj[u].add(v)
+        adj[v].add(u)
 
     def freeze(self) -> "Graph":
         self._frozen = True
@@ -272,33 +301,36 @@ def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
 
 def write_graph(g: Graph) -> str:
     lines = [f"p da {g.n} {g.m}"]
-    for u, v in g.edges():
-        lines.append(f"e {u} {v}")
-    for v in g.vertices():
-        tag = g.tag(v)
-        if tag.kind is not RoleKind.ORIGINAL:
-            lines.append(f"t {v} {tag.kind.value}")
+    lines.extend([f"e {u} {v}" for u, nb in enumerate(g._adj) for v in sorted(nb) if u < v])
+    original = RoleKind.ORIGINAL
+    lines.extend(
+        [f"t {v} {tag.kind.value}" for v, tag in enumerate(g._tags) if tag.kind is not original]
+    )
     return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str) -> Graph:
     g = Graph()
+    add_edge = g.add_edge
     n = m = None
     edge_lines = 0
     tagged: set[int] = set()
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             fields = raw.split()
-            if not fields or fields[0] == "c":
+            if not fields:
                 continue
-            if n is None and fields[0] != "p":
-                raise ParseError(f"'{fields[0]}' record before header")
-            if fields[0] == "e":
+            head = fields[0]
+            if head == "e" and n is not None:
                 if len(fields) != 3:
                     raise ParseError("expected 'e <u> <v>'")
-                g.add_edge(int(fields[1]), int(fields[2]))
+                add_edge(int(fields[1]), int(fields[2]))
                 edge_lines += 1
-            elif fields[0] == "p":
+            elif head == "c":
+                continue
+            elif n is None and head != "p":
+                raise ParseError(f"'{head}' record before header")
+            elif head == "p":
                 if n is not None:
                     raise ParseError("repeated header")
                 if len(fields) != 4 or fields[1] != "da":
@@ -307,7 +339,7 @@ def parse_graph(text: str) -> Graph:
                 if n < 0 or m < 0:
                     raise ParseError("negative counts")
                 g.add_vertices(n)
-            elif fields[0] == "t":
+            elif head == "t":
                 if len(fields) != 3:
                     raise ParseError("expected 't <v> <tagname>'")
                 v = int(fields[1])
@@ -316,12 +348,12 @@ def parse_graph(text: str) -> Graph:
                 if v in tagged:
                     raise ParseError(f"repeated 't' for vertex {v}")
                 tagged.add(v)
-                kind = _KIND_BY_NAME.get(fields[2])
-                if kind is None:
+                tag = _TAG_BY_NAME.get(fields[2])
+                if tag is None:
                     raise ParseError(f"unknown tag '{fields[2]}'")
-                g._tags[v] = RoleTag(kind)
+                g._tags[v] = tag
             else:
-                raise ParseError(f"unknown record '{fields[0]}'")
+                raise ParseError(f"unknown record '{head}'")
     except (ValueError, AllianceError) as exc:
         raise ParseError(f"line {lineno}: {exc}") from exc
     if n is None:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from alliancelib import circle
 from alliancelib.alliances import is_daf_feasible, is_defensive_alliance
 from alliancelib.circle import (
     ChordDiagram,
@@ -122,6 +123,23 @@ def test_ds_to_daf_diagram_graph_coherence():
         ig = intersection_graph(diagram)
         assert ig.n == daf.graph.n
         assert list(ig.edges()) == list(daf.graph.edges())
+
+
+def test_ds_to_daf_self_check_failure(monkeypatch):
+    # Drop one crossing of the emitted diagram only: its labels are vertex
+    # ids, while the source chords here are strings.
+    real = circle.crossing_pairs
+
+    def drop_one(seq):
+        pairs = real(seq)
+        if isinstance(seq[0], int):
+            next(pairs)
+        return pairs
+
+    monkeypatch.setattr(circle, "crossing_pairs", drop_one)
+    message = "^diagram/graph mismatch: 0 extra, 1 missing crossings$"
+    with pytest.raises(AssertionError, match=message):
+        ds_to_daf(DSCircleInstance(K3_DIAGRAM, 1))
 
 
 def test_ds_to_daf_vertex_count_audit():

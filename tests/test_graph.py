@@ -15,6 +15,8 @@ from alliancelib.graph import (
     parse_graph,
     write_graph,
 )
+from alliancelib.harness import DEFAULT_MAX_N
+from alliancelib.kinds import REDUCTIONS
 
 
 def cycle(n):
@@ -62,6 +64,38 @@ def test_add_family():
     g.freeze()
     with pytest.raises(FrozenGraph):
         g.add_family(RoleKind.SQUARE, [0])
+
+
+def test_add_family_checks_each_host_once():
+    # The errors are those add_edge raises for the first bad edge.
+    g = Graph()
+    g.add_vertices(3)
+    with pytest.raises(SelfLoop, match="^self-loop at 4$"):
+        g.add_family(RoleKind.SQUARE, [0, 1], join=(v for v in [0, 4]))
+    for below in (True, False):
+        order = g.n + 2  # once the family is added
+        host = -1 if below else order
+        with pytest.raises(UnknownVertex, match=f"^vertex {host} not in graph of order {order}$"):
+            g.add_family(RoleKind.SQUARE, [0, 1], join=[host])
+    first = g.n
+    with pytest.raises(DuplicateEdge, match=f"^edge \\(0,{first}\\) already present$"):
+        g.add_family(RoleKind.SQUARE, [0, 1], join=(v for v in [0, 1, 0]))
+    assert g.m == 0  # a failed call adds its vertices but no edge
+
+
+def test_add_family_neighbour_sets():
+    g = Graph()
+    hosts = g.add_vertices(40)
+    [apex] = g.add_family(RoleKind.APEX, ["a"], join=iter(hosts))
+    assert g.neighbors(apex) == set(hosts)
+    assert all(g.neighbors(h) == {apex} for h in hosts)
+    ids = g.add_family(RoleKind.PENDANT, range(4), join=hosts[:3])
+    assert all(g.neighbors(v) == set(hosts[:3]) for v in ids)
+    assert all(g.neighbors(h) == {apex, *ids} for h in hosts[:3])
+    # no two vertices share one set, so an edge added later touches one vertex
+    assert len({id(g.neighbors(v)) for v in g.vertices()}) == g.n
+    g.add_edge(ids[0], apex)
+    assert g.neighbors(ids[1]) == set(hosts[:3])
 
 
 def test_deg_in():
@@ -182,6 +216,25 @@ def test_graph_format_roundtrip():
     back = parse_graph(text)
     assert back == g
     assert write_graph(back) == text
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCTIONS))
+def test_compiled_graphs_match_edge_by_edge_build(kind):
+    # add_family joins whole families at once; the reference adds the same
+    # vertices and edges one at a time, and the text format round-trips them.
+    red, rng = REDUCTIONS[kind], random.Random(f"bulk-build-{kind}")
+    for case in range(20):
+        g = red.compile(red.gen(rng, DEFAULT_MAX_N[kind]))[0].graph
+        ref = Graph()
+        for v in g.vertices():
+            ref.add_vertex(g.tag(v))
+        for u, v in g.edges():
+            ref.add_edge(u, v)
+        assert g == ref, case
+        back = parse_graph(write_graph(g))
+        assert back.n == g.n, case
+        assert all(back.neighbors(v) == g.neighbors(v) for v in g.vertices()), case
+        assert all(back.tag(v).kind is g.tag(v).kind for v in g.vertices()), case
 
 
 def test_graph_format_rejects():
