@@ -127,8 +127,11 @@ def brute_force_min_da(
     id order, so the returned witness is canonical.  With `max_size` the
     enumeration stops at that cardinality (a budget-capped feasibility
     oracle); without it the graph must have at most BRUTE_FORCE_LIMIT vertices.
+    A forbidden id outside the graph raises `UnknownVertex`.
     """
     banned = frozenset(forbidden)
+    for v in banned:
+        g._check_vertex(v)
     pool = [v for v in g.vertices() if v not in banned]
     top = len(pool) if max_size is None else min(max_size, len(pool))
     if max_size is None:
@@ -161,44 +164,93 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     Every connected component of a defensive alliance is itself one (members
     have all their S-neighbours inside their own component), so any minimum
     alliance is connected.  The search therefore grows connected subsets from
-    each candidate seed, each connected set once (smallest-member/banned-
-    extension scheme), within the degree filter and never past the budget or
-    the best size found.  Ties are broken by size, then lexicographically.
+    each candidate seed, each connected set once (smallest-member/dead-
+    extension scheme), within the degree filter.  Ties are broken by size,
+    then lexicographically, so a later seed must beat the best size outright.
+
+    A member v needs deg(v) // 2 neighbours inside S, and one more vertex adds
+    at most one, so a branch stops once some member's deficit exceeds the
+    room left under the limit (k, or the best size so far) or the number of
+    its neighbours still free to join.  A set that is already an alliance is
+    recorded and not grown, since any superset is larger.  Within a seed,
+    allowed vertices above it get local bit positions the first time the
+    search meets them, and a member's neighbour mask is built once per seed,
+    so sets are ints and deg_in(v, S) is one popcount; nothing is indexed by
+    global id beyond the graph and the candidate set.
     """
     g, k = inst.graph, inst.k
-    allowed = candidate_filter(g, k) - frozenset(forbidden)
+    banned = frozenset(forbidden)
+    for v in banned:
+        g._check_vertex(v)
+    allowed = candidate_filter(g, k) - banned
     adj = g._adj
     best: tuple[int, tuple[int, ...]] | None = None
 
-    def consider(members: frozenset[int]) -> None:
-        nonlocal best
-        key = (len(members), tuple(sorted(members)))
-        if best is not None and key >= best:
-            return
-        if all(2 * len(adj[v] & members) + 1 >= len(adj[v]) for v in members):
-            best = key
+    # Per-seed state, rebound for each seed: global id -> local bit position,
+    # and per position its vertex, neighbour mask (built when first added)
+    # and defender need; `stack` holds the members' positions.
+    seed = limit = 0
+    index: dict[int, int] = {}
+    verts: list[int] = []
+    masks: list[int | None] = []
+    needs: list[int] = []
+    stack: list[int] = []
 
-    def grow(members: frozenset[int], ext: frozenset[int], banned: frozenset[int]) -> None:
-        consider(members)
-        if len(members) >= (k if best is None else best[0]):
-            return
-        dead = banned
-        for u in sorted(ext):
-            grown = members | {u}
-            frontier = frozenset(
-                w for w in adj[u] if w in allowed and w not in grown and w not in dead
-            )
-            grow(grown, (ext | frontier) - grown - dead - {u}, dead)
-            dead = dead | {u}
+    def mask_of(p: int) -> int:
+        # Sets grown from `seed` have it as their minimum: no position below.
+        m = masks[p]
+        if m is None:
+            m = 0
+            for w in adj[verts[p]]:
+                q = index.get(w)
+                if q is None:
+                    if w <= seed or w not in allowed:
+                        continue
+                    q = index[w] = len(verts)
+                    verts.append(w)
+                    masks.append(None)
+                    needs.append(len(adj[w]) // 2)
+                m |= 1 << q
+            masks[p] = m
+        return m
+
+    def grow(members: int, ext: int, dead: int) -> None:
+        nonlocal best, limit
+        room = limit - len(stack)
+        free = ~(members | dead)
+        alliance = True
+        for p in stack:
+            m = masks[p]
+            deficit = needs[p] - (m & members).bit_count()
+            if deficit > 0:
+                # Each added member is at most one more defender, and only
+                # a free neighbour can become one.
+                if deficit > room or deficit > (m & free).bit_count():
+                    return
+                alliance = False
+        if alliance:
+            key = (len(stack), tuple(sorted(verts[p] for p in stack)))
+            if best is None or key < best:
+                best, limit = key, key[0]
+            return  # any superset is larger
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            p = bit.bit_length() - 1
+            grown = members | bit
+            stack.append(p)
+            grow(grown, (ext | mask_of(p)) & ~grown & ~dead, dead)
+            stack.pop()
+            dead |= bit
 
     for seed in sorted(allowed):
-        # Connected sets whose minimum vertex is `seed`: extensions stay > seed.
-        above = frozenset(v for v in allowed if v > seed)
-        grow(
-            frozenset([seed]),
-            frozenset(w for w in adj[seed] if w in above),
-            frozenset(v for v in g.vertices() if v not in above),
-        )
+        # A later seed's sets sort after the best one, so only a smaller size wins.
+        limit = k if best is None else best[0] - 1
+        if limit < 1:
+            break
+        index, verts, masks = {seed: 0}, [seed], [None]
+        needs, stack = [len(adj[seed]) // 2], [0]
+        grow(1, mask_of(0), 0)
     if best is None:
         return None
     return Witness(best[1])

@@ -59,7 +59,7 @@ class RoleKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleTag:
     """Gadget role of a constructed vertex; payload is a source annotation."""
 

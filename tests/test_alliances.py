@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from alliancelib.alliances import (
     is_defensive_alliance,
     solve_da,
 )
-from alliancelib.errors import TooLarge
+from alliancelib.errors import TooLarge, UnknownVertex
 from alliancelib.graph import build_graph, components_of_induced
 
 
@@ -109,6 +110,13 @@ def test_brute_force_work_guard():
         brute_force_min_da(build_graph(60, []), max_size=6)
 
 
+def test_brute_force_rejects_unknown_forbidden():
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    for bad in (99, 3, -1):
+        with pytest.raises(UnknownVertex, match=f"vertex {bad} not in graph of order 3"):
+            brute_force_min_da(p3, forbidden=[bad])
+
+
 def test_brute_force_max_size():
     c6 = cycle(6)
     assert brute_force_min_da(c6, max_size=1) is None
@@ -186,3 +194,51 @@ def test_solve_da_monotone_in_budget():
         for lo, hi in itertools.combinations(range(6), 2):
             if feasible_at[lo]:
                 assert feasible_at[hi]
+
+
+def test_solve_da_differential_capped_oracle():
+    # Exact witness against the budget-capped oracle; small n makes the
+    # defender-deficit bound fire with room 0 and room 1.  Most vertices of
+    # degree <= 1 are forbidden, or most answers would be singletons.
+    rng = random.Random(20251018)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.uniform(0.25, 0.8))
+        forb = frozenset(
+            v for v in range(n) if rng.random() < (0.8 if g.degree(v) <= 1 else 0.15)
+        )
+        k = rng.randint(1, 6)
+        assert solve_da(DAInstance(g, k), forb) == brute_force_min_da(
+            g, forbidden=forb, max_size=k
+        )
+
+
+def test_solve_da_lexicographic_tie_break():
+    # K2 {3,4} joined to the independent set {0,1,2}: no alliance of size 1
+    # or 2, and six of size 3.  From seed 0 the search adds 3, then 4, so it
+    # meets {0,3,4} before the lexicographically first {0,1,3}.
+    g = build_graph(5, [(3, 4)] + [(a, b) for a in range(3) for b in (3, 4)])
+    assert is_defensive_alliance(g, {0, 3, 4})
+    assert solve_da(DAInstance(g, 4)) == Witness((0, 1, 3)) == brute_force_min_da(g)
+    assert solve_da(DAInstance(g, 3), [1]) == Witness((0, 2, 3))
+
+
+def test_solve_da_long_cycle_memory():
+    # Nothing indexed by global id per vertex: a mask per vertex over all ids
+    # would take about n**2 / 16 bytes, some 25 MB here.
+    g = cycle(20_000)
+    tracemalloc.start()
+    try:
+        found = solve_da(DAInstance(g, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == Witness((0, 1))
+    assert peak < 8 * 2**20
+
+
+def test_solve_da_rejects_unknown_forbidden():
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    for bad in (99, 3, -1):
+        with pytest.raises(UnknownVertex, match=f"vertex {bad} not in graph of order 3"):
+            solve_da(DAInstance(p3, 1), [bad])
