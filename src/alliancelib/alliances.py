@@ -155,7 +155,8 @@ def candidate_filter(g: Graph, k: int) -> frozenset[int]:
     drawn from the other |S|-1 <= k-1 members, so high-degree vertices are
     impossible and any search may discard them outright.
     """
-    return frozenset(v for v in g.vertices() if g.degree(v) <= 2 * k)
+    limit = 2 * k
+    return frozenset([v for v, nb in enumerate(g._adj) if len(nb) <= limit])
 
 
 def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:

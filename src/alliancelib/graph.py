@@ -4,15 +4,19 @@ Vertices are dense non-negative integers handed out in construction order,
 which keeps every downstream construction a pure function of its input.
 Adjacency is a list of sets; a graph is mutable while it is being built and
 is frozen by the code that finishes it, after which any mutation raises.
+Roles are two flat lists indexed by vertex, the kinds and the payloads;
+`tag(v)` builds the `RoleTag(kind, payload)` view of one vertex on demand,
+so construction makes no object per vertex beyond its neighbour set.
 
 The compilers build every gadget family with one call, `add_family`: a run of
-fresh vertices, one per payload, each tagged with the family's role and joined
-to the same host vertices.  It checks each host once (in range, not one of the
-family's own vertices, not repeated) and joins the whole family to it with set
-operations, rather than through one `add_edge` per edge.  Since ids follow
-creation order, a compiler must create its families in the order that numbers
-them; the order in which edges are added does not matter, as adjacency is a
-set and the writer sorts edges.
+fresh vertices, one per payload, all of the family's kind and joined to the
+same host vertices.  It checks each host once (in range, not one of the
+family's own vertices, not repeated), joins the whole family to it with set
+operations, and gives every new vertex a copy of the host set, rather than
+going through one `add_edge` per edge.  Since ids follow creation order, a
+compiler must create its families in the order that numbers them; the order
+in which edges are added does not matter, as adjacency is a set and the
+writer sorts edges.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -68,66 +73,72 @@ class RoleTag:
 
 
 ORIGINAL = RoleTag(RoleKind.ORIGINAL)
-# The tag a 't' line names; tags are frozen, so every such line shares one.
-_TAG_BY_NAME = {kind.value: RoleTag(kind) for kind in RoleKind}
+_KIND_BY_NAME = {kind.value: kind for kind in RoleKind}
 
 
 class Graph:
     """Finite simple undirected graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("_adj", "_tags", "_frozen")
+    __slots__ = ("_adj", "_kinds", "_payloads", "_frozen")
 
     def __init__(self) -> None:
         self._adj: list[set[int]] = []
-        self._tags: list[RoleTag] = []
+        self._kinds: list[RoleKind] = []
+        self._payloads: list[object] = []
         self._frozen = False
 
     # -- construction -----------------------------------------------------
 
-    def _grow(self, tags: list[RoleTag]) -> range:
-        """Append one isolated vertex per tag; returns the new ids."""
+    def _grow(self, kind: RoleKind, payloads: list[object]) -> range:
+        """Append one isolated vertex of role `kind` per payload; returns the new ids."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         start = len(self._adj)
-        self._adj.extend([set() for _ in tags])
-        self._tags.extend(tags)
+        self._adj.extend([set() for _ in payloads])
+        self._kinds.extend(repeat(kind, len(payloads)))
+        self._payloads.extend(payloads)
         return range(start, len(self._adj))
 
     def add_vertex(self, tag: RoleTag = ORIGINAL) -> int:
-        return self._grow([tag])[0]
+        return self._grow(tag.kind, [tag.payload])[0]
 
     def add_vertices(self, count: int, tag: RoleTag = ORIGINAL) -> list[int]:
-        return list(self._grow([tag] * count))
+        return list(self._grow(tag.kind, [tag.payload] * count))
 
     def add_family(
         self, kind: RoleKind, payloads: Iterable[object], join: Iterable[int] = ()
     ) -> list[int]:
-        """One fresh vertex tagged RoleTag(kind, payload) per payload, in
-        order, each joined to every vertex of `join`; returns the new ids.
-        `join` is read once, so it may be a generator.  Each host is checked
-        once, as `add_edge` would check its edges to the family."""
+        """One fresh vertex of role `kind` per payload, in order, each joined
+        to every vertex of `join`; returns the new ids.  `payloads` and `join`
+        are each read once, so either may be a generator.  Each host is
+        checked once, as `add_edge` would check its edges to the family, and
+        a failed check adds the family's vertices but no edge."""
+        if self._frozen:
+            raise FrozenGraph("graph is frozen")
+        payloads = list(payloads)
+        adj = self._adj
+        first = len(adj)
         # One list of ids: every neighbour set then holds the same int objects.
-        ids = list(self._grow([RoleTag(kind, payload) for payload in payloads]))
+        ids = list(range(first, first + len(payloads)))
         if not ids:
             return ids
-        adj = self._adj
-        first = ids[0]
         hosts: set[int] = set()
         for host in join:
-            if not 0 <= host < first:
+            if not 0 <= host < first or host in hosts:
+                self._grow(kind, payloads)  # the vertices, but no edge
                 if first <= host < len(adj):
                     raise SelfLoop(f"self-loop at {host}")
                 self._check_vertex(host)
-            if host in hosts:
                 raise DuplicateEdge(f"edge ({host},{first}) already present")
             hosts.add(host)
-        # Join only once every host has passed, so a failed call adds no edge.
         for host in hosts:
             adj[host].update(ids)
-        # The last vertex takes `hosts` itself: a copy per vertex costs memory.
-        for v in ids[:-1]:
-            adj[v].update(hosts)
-        adj[ids[-1]] = hosts
+        # Each vertex but the last gets a copy of `hosts`, the last the set
+        # itself: one copy per vertex, and no empty set filled afterwards.
+        adj.extend(map(set, repeat(hosts, len(ids) - 1)))
+        adj.append(hosts)
+        self._kinds.extend(repeat(kind, len(ids)))
+        self._payloads.extend(payloads)
         return ids
 
     def add_edge(self, u: int, v: int) -> None:
@@ -154,7 +165,8 @@ class Graph:
         """Unfrozen deep copy, for constructions extending an existing graph."""
         g = Graph()
         g._adj = [set(nb) for nb in self._adj]
-        g._tags = list(self._tags)
+        g._kinds = list(self._kinds)
+        g._payloads = list(self._payloads)
         return g
 
     # -- queries ----------------------------------------------------------
@@ -180,7 +192,7 @@ class Graph:
 
     def tag(self, v: int) -> RoleTag:
         self._check_vertex(v)
-        return self._tags[v]
+        return RoleTag(self._kinds[v], self._payloads[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
@@ -202,7 +214,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj and self._tags == other._tags
+        return (
+            self._adj == other._adj
+            and self._kinds == other._kinds
+            and self._payloads == other._payloads
+        )
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -303,9 +319,7 @@ def write_graph(g: Graph) -> str:
     lines = [f"p da {g.n} {g.m}"]
     lines.extend([f"e {u} {v}" for u, nb in enumerate(g._adj) for v in sorted(nb) if u < v])
     original = RoleKind.ORIGINAL
-    lines.extend(
-        [f"t {v} {tag.kind.value}" for v, tag in enumerate(g._tags) if tag.kind is not original]
-    )
+    lines.extend([f"t {v} {k.value}" for v, k in enumerate(g._kinds) if k is not original])
     return "\n".join(lines) + "\n"
 
 
@@ -348,10 +362,10 @@ def parse_graph(text: str) -> Graph:
                 if v in tagged:
                     raise ParseError(f"repeated 't' for vertex {v}")
                 tagged.add(v)
-                tag = _TAG_BY_NAME.get(fields[2])
-                if tag is None:
+                kind = _KIND_BY_NAME.get(fields[2])
+                if kind is None:
                     raise ParseError(f"unknown tag '{fields[2]}'")
-                g._tags[v] = tag
+                g._kinds[v] = kind
             else:
                 raise ParseError(f"unknown record '{head}'")
     except (ValueError, AllianceError) as exc:

@@ -77,24 +77,23 @@ class GadgetMap:
         `roles` maps each vertex id, in string order, to its tag's kind and
         payload.  Byte-equal to `json.dumps` of that object with
         `sort_keys=True, indent=1`, plus a newline, written in one pass."""
-        tags = self.graph._tags
+        kinds, payloads = self.graph._kinds, self.graph._payloads
         heads = {
             role: f'": {{\n   "kind": {_quote(role.value)},\n   "payload": ' for role in RoleKind
         }
         families, kind = _json(self.families, 1), _json(self.kind, 1)
         out = [f'{{\n "families": {families},\n "kind": {kind},\n "roles": ']
         sep = '{\n  "'
-        for v in sorted(range(len(tags)), key=str):
-            tag = tags[v]
-            payload = tag.payload
+        for v in sorted(range(len(kinds)), key=str):
+            payload = payloads[v]
             # Most payloads are flat int tuples: write them without a call.
             if type(payload) is tuple and payload and all(type(x) is int for x in payload):
                 text = "[\n    " + ",\n    ".join(map(int.__repr__, payload)) + "\n   ]"
             else:
                 text = _json(payload, 3)
-            out.append(f"{sep}{v}{heads[tag.kind]}{text}")
+            out.append(f"{sep}{v}{heads[kinds[v]]}{text}")
             sep = '\n  },\n  "'
-        out.append("\n  }\n }\n}\n" if tags else "{}\n}\n")
+        out.append("\n  }\n }\n}\n" if kinds else "{}\n}\n")
         return "".join(out)
 
 

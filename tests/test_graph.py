@@ -34,6 +34,10 @@ def test_add_vertex_dense_ids():
     assert g.add_vertex() == 5
     a, b = g.add_vertex(), g.add_vertex()
     assert a != b
+    assert all(g.tag(v) == RoleTag(RoleKind.ORIGINAL, None) for v in g.vertices())
+    square = RoleTag(RoleKind.SQUARE, ("s", 3))
+    assert g.tag(g.add_vertex(square)) == square
+    assert [g.tag(v) for v in g.add_vertices(2, square)] == [square, square]
 
 
 def test_add_edge_and_errors():
@@ -59,6 +63,16 @@ def test_add_family():
     assert all(g.neighbors(v) == set(hosts) for v in ids)
     assert g.neighbors(0) == g.neighbors(1) == set(ids)
     assert g.add_family(RoleKind.APEX, ["a"]) == [5] and g.degree(5) == 0
+    assert g.tag(5) == RoleTag(RoleKind.APEX, "a")
+    assert [g.tag(v) for v in g.add_family(RoleKind.COPY_T0, range(2))] == [
+        RoleTag(RoleKind.COPY_T0, 0),
+        RoleTag(RoleKind.COPY_T0, 1),
+    ]
+    read = []
+    gen = (read.append(p) or p for p in [("g", 1), ("g", 0)])
+    ids = g.add_family(RoleKind.CYCLE_C, gen, join=[0])
+    assert read == [("g", 1), ("g", 0)]  # read once, in order
+    assert [g.tag(v) for v in ids] == [RoleTag(RoleKind.CYCLE_C, ("g", i)) for i in (1, 0)]
     with pytest.raises(DuplicateEdge):
         g.add_family(RoleKind.SQUARE, [0], join=[0, 0])
     g.freeze()
@@ -76,11 +90,21 @@ def test_add_family_checks_each_host_once():
         order = g.n + 2  # once the family is added
         host = -1 if below else order
         with pytest.raises(UnknownVertex, match=f"^vertex {host} not in graph of order {order}$"):
-            g.add_family(RoleKind.SQUARE, [0, 1], join=[host])
+            g.add_family(RoleKind.PENDANT, [("p", host), None], join=[host])
     first = g.n
     with pytest.raises(DuplicateEdge, match=f"^edge \\(0,{first}\\) already present$"):
-        g.add_family(RoleKind.SQUARE, [0, 1], join=(v for v in [0, 1, 0]))
+        g.add_family(RoleKind.APEX, (p for p in "ab"), join=(v for v in [0, 1, 0]))
     assert g.m == 0  # a failed call adds its vertices but no edge
+    assert [g.tag(v) for v in range(3, g.n)] == [
+        RoleTag(RoleKind.SQUARE, 0),
+        RoleTag(RoleKind.SQUARE, 1),
+        RoleTag(RoleKind.PENDANT, ("p", -1)),
+        RoleTag(RoleKind.PENDANT, None),
+        RoleTag(RoleKind.PENDANT, ("p", 9)),
+        RoleTag(RoleKind.PENDANT, None),
+        RoleTag(RoleKind.APEX, "a"),
+        RoleTag(RoleKind.APEX, "b"),
+    ]
 
 
 def test_add_family_neighbour_sets():
@@ -96,6 +120,34 @@ def test_add_family_neighbour_sets():
     assert len({id(g.neighbors(v)) for v in g.vertices()}) == g.n
     g.add_edge(ids[0], apex)
     assert g.neighbors(ids[1]) == set(hosts[:3])
+
+
+def test_clone_is_independent():
+    g = Graph()
+    g.add_vertices(2)
+    g.add_family(RoleKind.PENDANT, ["p"], join=[0, 1])
+    g.freeze()
+    tags = [g.tag(v) for v in g.vertices()]
+    before = (g.n, tags, [set(g.neighbors(v)) for v in g.vertices()])
+    h = g.clone()
+    assert h == g
+    h.add_family(RoleKind.APEX, ["a"], join=[0, 2])
+    h.add_vertex(RoleTag(RoleKind.SQUARE, "s"))
+    h.add_edge(0, 1)
+    h._kinds[0], h._payloads[1] = RoleKind.OTHER, "x"
+    assert h != g
+    assert (g.n, [g.tag(v) for v in g.vertices()], [g.neighbors(v) for v in g.vertices()]) == before
+
+
+def test_graphs_differing_in_one_payload_are_not_equal():
+    a, b = Graph(), Graph()
+    a.add_family(RoleKind.SQUARE, [("s", 0), ("s", 1)])
+    b.add_family(RoleKind.SQUARE, [("s", 0), ("s", 2)])
+    assert a._kinds == b._kinds and a._adj == b._adj
+    assert a != b
+    b = Graph()
+    b.add_family(RoleKind.SQUARE, [("s", 0), ("s", 1)])
+    assert a == b
 
 
 def test_deg_in():
@@ -216,6 +268,9 @@ def test_graph_format_roundtrip():
     back = parse_graph(text)
     assert back == g
     assert write_graph(back) == text
+    assert [back.tag(v) for v in back.vertices()] == [RoleTag(RoleKind.ORIGINAL)] * 3 + [
+        RoleTag(RoleKind.SQUARE, None)
+    ]
 
 
 @pytest.mark.parametrize("kind", sorted(REDUCTIONS))
