@@ -8,6 +8,7 @@ from .alliances import (
     candidate_filter,
     is_daf_feasible,
     is_defensive_alliance,
+    kernel,
     solve_da,
 )
 from .circle import (

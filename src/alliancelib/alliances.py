@@ -42,8 +42,15 @@ class DAFInstance:
     def __post_init__(self) -> None:
         if self.r < 1:
             raise InvalidInstance(f"budget must be >= 1, got {self.r}")
-        for v in self.forbidden:
-            self.graph._check_vertex(v)
+        _check_ids(self.graph, self.forbidden)
+
+
+def _check_ids(g: Graph, ids: frozenset[int]) -> None:
+    """Raise `UnknownVertex` naming an id of `ids` outside `g`: checking the
+    least and the greatest id checks them all."""
+    if ids:
+        g._check_vertex(min(ids))
+        g._check_vertex(max(ids))
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,7 @@ def brute_force_min_da(
     A forbidden id outside the graph raises `UnknownVertex`.
     """
     banned = frozenset(forbidden)
-    for v in banned:
-        g._check_vertex(v)
+    _check_ids(g, banned)
     pool = [v for v in g.vertices() if v not in banned]
     top = len(pool) if max_size is None else min(max_size, len(pool))
     if max_size is None:
@@ -159,15 +165,47 @@ def candidate_filter(g: Graph, k: int) -> frozenset[int]:
     return frozenset([v for v, nb in enumerate(g._adj) if len(nb) <= limit])
 
 
+def kernel(g: Graph, k: int, forbidden: Iterable[int] = ()) -> frozenset[int]:
+    """Vertices a size-<=k alliance avoiding `forbidden` could contain.
+
+    A member v needs deg(v) // 2 defenders among the other |S|-1 <= k-1
+    members, all of them in the kernel too.  So, starting from
+    `candidate_filter` less the forbidden ids, drop every vertex with
+    deg(v) // 2 > k-1, then peel, until none is left, every vertex with fewer
+    than deg(v) // 2 neighbours still in the kernel.  No member of such an
+    alliance is ever dropped, and the peel visits each edge at most twice.
+    A forbidden id outside the graph raises `UnknownVertex`.
+    """
+    banned = frozenset(forbidden)
+    _check_ids(g, banned)
+    adj = g._adj
+    top = k - 1
+    inside = {v for v in candidate_filter(g, k) - banned if len(adj[v]) // 2 <= top}
+    # spare[v]: neighbours in the kernel beyond the deg(v) // 2 that v needs.
+    spare = {v: len(adj[v] & inside) - len(adj[v]) // 2 for v in inside}
+    doomed = [v for v, extra in spare.items() if extra < 0]
+    while doomed:
+        v = doomed.pop()
+        inside.discard(v)
+        for w in adj[v]:
+            if w in inside:
+                spare[w] -= 1
+                if spare[w] == -1:  # just fell short: queued once
+                    doomed.append(w)
+    return frozenset(inside)
+
+
 def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     """Exact decision with witness for alliances of size <= k avoiding `forbidden`.
 
     Every connected component of a defensive alliance is itself one (members
     have all their S-neighbours inside their own component), so any minimum
     alliance is connected.  The search therefore grows connected subsets from
-    each candidate seed, each connected set once (smallest-member/dead-
-    extension scheme), within the degree filter.  Ties are broken by size,
-    then lexicographically, so a later seed must beat the best size outright.
+    each seed, each connected set once (smallest-member/dead-extension
+    scheme), inside the peel `kernel`, which holds every member of every
+    alliance the search could return, so the witness is the one a search over
+    all allowed vertices would find.  Ties are broken by size, then
+    lexicographically, so a later seed must beat the best size outright.
 
     A member v needs deg(v) // 2 neighbours inside S, and one more vertex adds
     at most one, so a branch stops once some member's deficit exceeds the
@@ -177,13 +215,10 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     allowed vertices above it get local bit positions the first time the
     search meets them, and a member's neighbour mask is built once per seed,
     so sets are ints and deg_in(v, S) is one popcount; nothing is indexed by
-    global id beyond the graph and the candidate set.
+    global id beyond the graph and the kernel.
     """
     g, k = inst.graph, inst.k
-    banned = frozenset(forbidden)
-    for v in banned:
-        g._check_vertex(v)
-    allowed = candidate_filter(g, k) - banned
+    allowed = kernel(g, k, forbidden)
     adj = g._adj
     best: tuple[int, tuple[int, ...]] | None = None
 

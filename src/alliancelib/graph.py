@@ -21,6 +21,7 @@ writer sorts edges.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -324,6 +325,74 @@ def write_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph of `text`.  A file in `write_graph`'s own layout is read in
+    bulk; any other text, and every text with an error, is read line by
+    line, which alone raises the `line N: ...` errors."""
+    g = _parse_written(text)
+    return _parse_lines(text) if g is None else g
+
+
+# `write_graph`'s layout, with optional leading comment lines: the header, the
+# edge lines, then the tag lines, each with single spaces and ending in "\n".
+# Comments hold only printable ASCII and tabs, so no line boundary that
+# `str.splitlines` knows besides "\n" can hide in one.
+_HEAD = re.compile(r"(?:c(?:[\t ][\t -~]*)?\n)*p da ([0-9]+) ([0-9]+)\n", re.ASCII)
+_CHUNK = 4096  # lines per bulk step: the tokens of one step are held at once
+_EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n){1,%d}" % _CHUNK, re.ASCII)
+_TAGS = re.compile(r"(?:t [0-9]+ [a-z0-9-]+\n){1,%d}" % _CHUNK, re.ASCII)
+# Canonical spellings of the ids of small graphs, shared by every call.
+_SMALL_IDS = {str(v): v for v in range(1024)}
+
+
+def _parse_written(text: str) -> Graph | None:
+    """The graph of a text in `write_graph`'s layout, or None for any other
+    text or any error, which `_parse_lines` then reads (and reports).  Ids
+    are looked up by their canonical spelling ("007" misses), so every
+    endpoint of a vertex is the same int object; an id >= n misses the table
+    or fails to index the adjacency list."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:  # more digits than int() reads
+        return None
+    ids = _SMALL_IDS if n <= len(_SMALL_IDS) else dict(zip(map(str, range(n)), range(n)))
+    g = Graph()
+    g.add_vertices(n)
+    adj, kinds = g._adj, g._kinds
+    pos = head.end()
+    edges = tag_lines = 0
+    tagged: set[int] = set()
+    try:
+        while block := _EDGES.match(text, pos):
+            pos = block.end()
+            fields = text[block.start() : pos].split()
+            us = list(map(ids.__getitem__, fields[1::3]))
+            vs = list(map(ids.__getitem__, fields[2::3]))
+            edges += len(us)
+            for u, v in zip(us, vs):
+                adj[u].add(v)
+                adj[v].add(u)
+        while block := _TAGS.match(text, pos):
+            pos = block.end()
+            fields = text[block.start() : pos].split()
+            vs = list(map(ids.__getitem__, fields[1::3]))
+            tag_lines += len(vs)
+            tagged.update(vs)
+            for v, name in zip(vs, fields[2::3]):
+                kinds[v] = _KIND_BY_NAME[name]
+    except LookupError:  # an id spelled otherwise or >= n, or an unknown tag
+        return None
+    # Another layout, an edge count off, or a repeated tag.  A repeated edge
+    # adds nothing to the degree sum and a self-loop one, not two, so with m
+    # edge lines the sum is 2m only if there is neither.
+    if pos != len(text) or edges != m or sum(map(len, adj)) != 2 * m or len(tagged) != tag_lines:
+        return None
+    return g.freeze()
+
+
+def _parse_lines(text: str) -> Graph:
     g = Graph()
     add_edge = g.add_edge
     n = m = None

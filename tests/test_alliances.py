@@ -2,8 +2,10 @@ import itertools
 import random
 import tracemalloc
 
+import networkx as nx
 import pytest
 
+from alliancelib import alliances
 from alliancelib.alliances import (
     DAFInstance,
     DAInstance,
@@ -12,6 +14,7 @@ from alliancelib.alliances import (
     candidate_filter,
     is_daf_feasible,
     is_defensive_alliance,
+    kernel,
     solve_da,
 )
 from alliancelib.errors import TooLarge, UnknownVertex
@@ -52,6 +55,14 @@ def test_daf_feasibility():
     assert is_daf_feasible(inst, {0})
     assert not is_daf_feasible(inst, {1})  # forbidden
     assert not is_daf_feasible(inst, {0, 2})  # over budget
+
+
+def test_daf_rejects_out_of_range_forbidden_at_either_end():
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    for bad in (-1, 3):
+        with pytest.raises(UnknownVertex, match=f"vertex {bad} not in graph of order 3"):
+            DAFInstance(p3, 1, frozenset({0, bad, 2}))
+    assert DAFInstance(p3, 1, frozenset({0, 2})).forbidden == {0, 2}
 
 
 def test_component_closure_exhaustive():
@@ -146,6 +157,84 @@ def test_candidate_filter_soundness():
         w = brute_force_min_da(g)
         if w is not None:
             assert w.as_set <= candidate_filter(g, w.size)
+
+
+# -- peel kernel ------------------------------------------------------------
+
+
+def atlas_cases():
+    """Every graph of at most 7 vertices (the networkx atlas), with budgets
+    1..4 and three forbidden sets: none, vertex 0, and the even vertices."""
+    for nxg in nx.graph_atlas_g()[1:]:
+        n = nxg.number_of_nodes()
+        g = build_graph(n, nxg.edges())
+        for forbidden in (frozenset(), frozenset({0}), frozenset(range(0, n, 2))):
+            for k in range(1, 5):
+                yield g, k, forbidden
+
+
+def test_kernel_keeps_every_small_alliance():
+    # Not just the minimum witness: every alliance of size <= k that avoids
+    # the forbidden set lies inside the kernel.
+    for g, k, forbidden in atlas_cases():
+        core = kernel(g, k, forbidden)
+        w = brute_force_min_da(g, forbidden, max_size=k)
+        assert w is None or w.as_set <= core
+        pool = [v for v in g.vertices() if v not in forbidden]
+        for size in range(1, min(k, len(pool)) + 1):
+            for s in itertools.combinations(pool, size):
+                if is_defensive_alliance(g, s):
+                    assert set(s) <= core
+
+
+def test_kernel_is_a_fixpoint():
+    for g, k, forbidden in atlas_cases():
+        core = kernel(g, k, forbidden)
+        assert core <= candidate_filter(g, k) - forbidden
+        for v in core:
+            need = g.degree(v) // 2
+            assert need <= k - 1 and g.deg_in(v, core) >= need
+
+
+def test_kernel_peels_a_chain():
+    # K4 on 0..3, then the path 3-4-5-6 with forbidden leaves 7..13 on 4, 5
+    # and 6.  Vertex 6 needs two of its four neighbours but keeps only 5;
+    # once it goes, 5 and then 4 fall short in turn.
+    k4 = list(itertools.combinations(range(4), 2))
+    leaves = [(4, 7), (4, 8), (5, 9), (5, 10), (6, 11), (6, 12), (6, 13)]
+    g = build_graph(14, k4 + [(3, 4), (4, 5), (5, 6)] + leaves)
+    banned = range(7, 14)
+    assert kernel(g, 4) == frozenset(range(14))
+    assert kernel(g, 4, banned) == frozenset(range(4))
+    assert kernel(g, 2, banned) == frozenset(range(3))  # 3..6 need two defenders
+    assert kernel(g, 1, banned) == frozenset()
+    with pytest.raises(UnknownVertex, match="vertex 14 not in graph of order 14"):
+        kernel(g, 4, [14])
+
+
+def test_solve_da_matches_brute_force_on_the_atlas():
+    for g, k, forbidden in atlas_cases():
+        assert solve_da(DAInstance(g, k), forbidden) == brute_force_min_da(
+            g, forbidden, max_size=k
+        )
+
+
+def test_solve_da_calls_candidate_filter_once(monkeypatch):
+    # A traced benchmark run counts one candidate_filter call per solve.
+    calls = []
+    original = alliances.candidate_filter
+
+    def counted(g, k):
+        calls.append(k)
+        return original(g, k)
+
+    monkeypatch.setattr(alliances, "candidate_filter", counted)
+    star = build_graph(6, [(0, i) for i in range(1, 6)])
+    for g, k, forbidden in [(cycle(6), 1, ()), (cycle(6), 3, [0]), (star, 2, range(6)),
+                            (star, 1, [1, 2]), (build_graph(0, []), 1, ())]:
+        calls.clear()
+        solve_da(DAInstance(g, k), forbidden)
+        assert calls == [k]
 
 
 # -- exact solver -----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Every text reader fails only with ParseError.
 
 A table of rejected texts, one row per rejection branch that the per-module
-tests do not reach, and property tests that mutate each kind's written
-instances token by token and feed the result to its reader and to the CLI.
+tests do not reach, property tests that mutate each kind's written instances
+token by token and feed the result to its reader and to the CLI, and a
+differential test of the graph reader's bulk path against its line reader on
+texts that keep the writer's layout.
 """
 
 import contextlib
@@ -19,7 +21,17 @@ from alliancelib.circle import parse_diagram, parse_ds_instance, write_diagram
 from alliancelib.cli import main
 from alliancelib.errors import ParseError
 from alliancelib.generators import gen_daf, gen_ds_circle
-from alliancelib.graph import parse_graph, parse_id_list, write_graph
+from alliancelib.graph import (
+    Graph,
+    RoleKind,
+    RoleTag,
+    _parse_lines,
+    _parse_written,
+    build_graph,
+    parse_graph,
+    parse_id_list,
+    write_graph,
+)
 from alliancelib.kinds import REDUCTIONS
 from alliancelib.reductions import daf_to_da, parse_daf, parse_mrss, parse_rbds, parse_vc
 
@@ -184,3 +196,137 @@ def test_cli_on_mutated_graph_files_exits_0_1_or_2(tmp_path_factory):
             assert main(["solve", str(path), "--budget", "2"]) in (0, 1, 2)
 
     check()
+
+
+# -- differential: the bulk graph reader against the line reader -------------
+
+TAG_KINDS = [kind for kind in RoleKind if kind is not RoleKind.ORIGINAL]
+
+
+@st.composite
+def written_graphs(draw):
+    """The lines of `write_graph` for a small random graph with some tags."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 30))
+    g = Graph()
+    for _ in range(n):
+        g.add_vertex(RoleTag(rng.choice(TAG_KINDS)) if rng.random() < 0.3 else RoleTag())
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.35:
+                g.add_edge(u, v)
+    return write_graph(g.freeze()).splitlines()
+
+
+def _edit(lines, op, i):
+    """One edit of written graph lines that keeps the writer's layout: every
+    line still a 'c', 'p', 'e' or 't' record with single spaces, in that
+    order."""
+    edges = [j for j, line in enumerate(lines) if line.startswith("e ")]
+    tags = [j for j, line in enumerate(lines) if line.startswith("t ")]
+    head = next(j for j, line in enumerate(lines) if line.startswith("p "))
+    n, m = map(int, lines[head].split()[2:])
+    if op == "comments":
+        return ["c"] * (i % 3) + [f"c written by test {i}"] + lines
+    if op in ("n+1", "n-1", "m+1", "m-1"):
+        n += (op[0] == "n") * (1 if op[1] == "+" else -1)
+        m += (op[0] == "m") * (1 if op[1] == "+" else -1)
+        return lines[:head] + [f"p da {n} {m}"] + lines[head + 1 :]
+    if op.startswith("t"):
+        if not tags:
+            return lines
+        j = tags[i % len(tags)]
+        v = lines[j].split()[1]
+        new = {"t-repeat": [lines[j], f"t {v} square"], "t-unknown": [f"t {v} bogus"]}[op]
+        return lines[:j] + new + lines[j + 1 :]
+    if not edges:
+        return lines
+    j = edges[i % len(edges)]
+    _, u, v = lines[j].split()
+    if op == "drop":
+        return lines[:j] + lines[j + 1 :]
+    if op == "duplicate":
+        return lines[:j] + [lines[j]] + lines[j:]
+    if op == "swap":
+        k = edges[(i + 1) % len(edges)]
+        lines = list(lines)
+        lines[j], lines[k] = lines[k], lines[j]
+        return lines
+    new = {"reverse": f"e {v} {u}", "self-loop": f"e {u} {u}", "id-n": f"e {u} {n}",
+           "zeros": f"e 00{u} {v}"}[op]
+    return lines[:j] + [new] + lines[j + 1 :]
+
+
+LAYOUT_OPS = ["drop", "duplicate", "swap", "reverse", "self-loop", "id-n", "zeros",
+              "t-repeat", "t-unknown", "n+1", "n-1", "m+1", "m-1", "comments"]
+LAYOUT_EDITS = st.lists(st.tuples(st.sampled_from(LAYOUT_OPS), st.integers(0, 99)), max_size=2)
+
+
+def _line_reader_result(text):
+    try:
+        return _parse_lines(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _assert_same_as_line_reader(text):
+    expected = _line_reader_result(text)
+    bulk = _parse_written(text)
+    if bulk is not None:
+        assert bulk == expected  # the bulk path never accepts a text the line reader rejects
+    try:
+        got = parse_graph(text)
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+    return bulk is not None
+
+
+@pytest.mark.parametrize("op", LAYOUT_OPS)
+def test_bulk_reader_matches_line_reader(op):
+    # Each edit in turn, alone or with up to two more, so none is left out.
+    @settings(FUZZ, max_examples=40)
+    @given(written_graphs(), st.integers(0, 99), LAYOUT_EDITS)
+    def check(lines, i, edits):
+        for op_, i_ in [(op, i)] + edits:
+            lines = _edit(lines, op_, i_)
+        _assert_same_as_line_reader("\n".join(lines) + "\n")
+
+    check()
+
+
+def test_bulk_reader_takes_the_writers_layout():
+    # Untouched written files, with or without leading comments, never fall
+    # back to the line reader.
+    for seed in range(30):
+        text = _graph_text(seed)
+        assert _assert_same_as_line_reader(text)
+        assert _assert_same_as_line_reader("c\nc\tcomment ~\n" + text)
+    for text in ("p da 0 0\n", "p da 3 0\nt 2 apex\n", "p da 02 1\ne 0 1\n"):
+        assert _assert_same_as_line_reader(text)
+    # Other layouts are left to the line reader.
+    for text in ("p da 2 1\r\ne 0 1\r\n", "p da 2 1\ne 0 1", "p da 2 1\n\ne 0 1\n",
+                 "p da 2 1\ne  0 1\n", "p da 2 1\nc late\ne 0 1\n", "c \x85e 0 1\np da 2 0\n",
+                 "p da 3 1\nt 2 apex\ne 0 1\n"):
+        assert not _assert_same_as_line_reader(text)
+
+
+def test_bulk_reader_across_chunks():
+    # Over 4096 edge lines, so the bulk path reads several chunks, and over
+    # 1024 vertices, so it builds its own id table; each error sits in a
+    # later chunk than the first.
+    rng = random.Random(11)
+    n = 1500
+    pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(9000)})
+    text = write_graph(build_graph(n, pairs))
+    lines = text.splitlines()
+    assert len(lines) > 2 * 4096
+    assert _assert_same_as_line_reader(text)
+    u = pairs[0][0]
+    for bad in (
+        lines[:8000] + [lines[1]] + lines[8001:],  # the first edge again
+        lines[:5000] + [f"e {u} {u}"] + lines[5001:],
+        lines[:8500] + [f"e {u} {n}"] + lines[8501:],
+        lines[:-1],
+    ):
+        assert not _assert_same_as_line_reader("\n".join(bad) + "\n")
