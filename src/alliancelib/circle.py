@@ -276,13 +276,15 @@ def ds_to_daf(
         tokens.append(tok)
     diagram = ChordDiagram(tuple(tokens))
 
-    crossings: list[set[int]] = [set() for _ in range(g.n)]
+    # The sweep yields each crossing once and neither side has a self-pair,
+    # so the crossings that are edges number pairs - extra.
+    adj = g._adj
+    pairs = extra = 0
     for a, b in crossing_pairs(diagram.labels):
-        crossings[a].add(b)
-        crossings[b].add(a)
-    if crossings != g._adj:
-        extra = sum(len(c - nb) for c, nb in zip(crossings, g._adj)) // 2
-        missing = sum(len(nb - c) for c, nb in zip(crossings, g._adj)) // 2
+        pairs += 1
+        extra += b not in adj[a]
+    missing = g.m - (pairs - extra)
+    if extra or missing:
         raise AssertionError(
             f"diagram/graph mismatch: {extra} extra, {missing} missing crossings"
         )

@@ -8,15 +8,15 @@ Roles are two flat lists indexed by vertex, the kinds and the payloads;
 `tag(v)` builds the `RoleTag(kind, payload)` view of one vertex on demand,
 so construction makes no object per vertex beyond its neighbour set.
 
-The compilers build every gadget family with one call, `add_family`: a run of
-fresh vertices, one per payload, all of the family's kind and joined to the
-same host vertices.  It checks each host once (in range, not one of the
-family's own vertices, not repeated), joins the whole family to it with set
-operations, and gives every new vertex a copy of the host set, rather than
-going through one `add_edge` per edge.  Since ids follow creation order, a
-compiler must create its families in the order that numbers them; the order
-in which edges are added does not matter, as adjacency is a set and the
-writer sorts edges.
+Every vertex is made by `add_family` (`add_vertex` and `add_vertices` call
+it without hosts): a run of fresh vertices, one per payload, of one kind and
+joined to the same hosts.  It checks each host (in range, not one of the new
+vertices, not repeated) before it touches the graph, so a failed call
+changes nothing, then joins the family to each host with set operations and
+gives each new vertex a copy of the host set, rather than one `add_edge` per
+edge.  Since ids follow creation order, a compiler must create its families
+in the order that numbers them; the order in which edges are added does not
+matter, as adjacency is a set and the writer sorts edges.
 """
 
 from __future__ import annotations
@@ -90,30 +90,20 @@ class Graph:
 
     # -- construction -----------------------------------------------------
 
-    def _grow(self, kind: RoleKind, payloads: list[object]) -> range:
-        """Append one isolated vertex of role `kind` per payload; returns the new ids."""
-        if self._frozen:
-            raise FrozenGraph("graph is frozen")
-        start = len(self._adj)
-        self._adj.extend([set() for _ in payloads])
-        self._kinds.extend(repeat(kind, len(payloads)))
-        self._payloads.extend(payloads)
-        return range(start, len(self._adj))
-
     def add_vertex(self, tag: RoleTag = ORIGINAL) -> int:
-        return self._grow(tag.kind, [tag.payload])[0]
+        return self.add_family(tag.kind, [tag.payload])[0]
 
     def add_vertices(self, count: int, tag: RoleTag = ORIGINAL) -> list[int]:
-        return list(self._grow(tag.kind, [tag.payload] * count))
+        return self.add_family(tag.kind, repeat(tag.payload, count))
 
     def add_family(
         self, kind: RoleKind, payloads: Iterable[object], join: Iterable[int] = ()
     ) -> list[int]:
         """One fresh vertex of role `kind` per payload, in order, each joined
         to every vertex of `join`; returns the new ids.  `payloads` and `join`
-        are each read once, so either may be a generator.  Each host is
-        checked once, as `add_edge` would check its edges to the family, and
-        a failed check adds the family's vertices but no edge."""
+        are each read once, so either may be a generator.  Every host is
+        checked, as `add_edge` would check its edges to the family, before
+        the graph is touched, so a failed call leaves the graph as it was."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         payloads = list(payloads)
@@ -126,8 +116,7 @@ class Graph:
         hosts: set[int] = set()
         for host in join:
             if not 0 <= host < first or host in hosts:
-                self._grow(kind, payloads)  # the vertices, but no edge
-                if first <= host < len(adj):
+                if first <= host < first + len(ids):
                     raise SelfLoop(f"self-loop at {host}")
                 self._check_vertex(host)
                 raise DuplicateEdge(f"edge ({host},{first}) already present")
@@ -290,19 +279,19 @@ def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
     """True iff every component of g minus `deleted` is a star.
 
     Isolated vertices and single edges count as (degenerate) stars; anything
-    with two branching vertices, or any cycle, does not.
+    with two branching vertices, or any cycle, does not.  That holds exactly
+    when every remaining edge has an end of degree one in what remains.
     """
     del_set = set(deleted)
-    remaining = [v for v in g.vertices() if v not in del_set]
-    for comp in components_of_induced(g, remaining):
-        size = len(comp)
-        if size == 1:
-            continue
-        edge_count = sum(g.deg_in(v, comp) for v in comp) // 2
-        max_deg = max(g.deg_in(v, comp) for v in comp)
-        if edge_count != size - 1 or max_deg != size - 1:
-            return False
-    return True
+    adj = g._adj
+    deg = [len(nb - del_set) for nb in adj]
+    return all(
+        deg[u] == 1 or deg[v] == 1
+        for u, nb in enumerate(adj)
+        if u not in del_set
+        for v in nb
+        if u < v and v not in del_set
+    )
 
 
 # -- text format -----------------------------------------------------------

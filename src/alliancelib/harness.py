@@ -3,12 +3,12 @@
 For each generated source instance the driver solves the source by brute
 force; on a yes it compiles the reduction, builds the proof's forward
 certificate and checks it against the alliance predicate within the budget.
-Where the target fits the brute-force guard it is decided too and the full
-iff is asserted.  Only kinds whose generated targets are that small (the
-`small_targets` fact on their record: today daf) are compiled on a source
-no-instance; everywhere else such a case is reported as skipped (the reverse
-direction of those reductions lives in the extraction maps, exercised by the
-test suite, not here).
+Only the kinds whose record says `small_targets` (their generated targets
+fit the brute-force guard: today daf) have the target decided, on every
+case, and the full iff asserted; that fact alone decides it.  Every other
+kind reports a source no-instance as skipped without compiling it (the
+reverse direction of those reductions lives in the extraction maps,
+exercised by the test suite, not here).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 
-from .alliances import BRUTE_FORCE_LIMIT, brute_force_min_da, certifies, target_budget, target_forbidden
+from .alliances import brute_force_min_da, certifies, target_budget, target_forbidden
 from .errors import BadParams
 from .kinds import REDUCTIONS
 
@@ -73,9 +73,8 @@ def run_equiv_case(kind: str, case: int, rng: random.Random, max_n: int) -> Equi
     valid = certifies(target, red.forward(gm, sol)) if yes else None
     if valid is False:
         return EquivReport(case, kind, digest, True, False, budget, None, "forward-fail")
-    if target.graph.n > BRUTE_FORCE_LIMIT:
-        verdict = "forward-ok" if yes else "skipped-too-large"
-        return EquivReport(case, kind, digest, yes, valid, budget, None, verdict)
+    if not red.small_targets:  # only a source yes-instance gets this far
+        return EquivReport(case, kind, digest, True, True, budget, None, "forward-ok")
     found = brute_force_min_da(
         target.graph, forbidden=target_forbidden(target), max_size=budget
     )

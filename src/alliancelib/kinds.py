@@ -29,8 +29,8 @@ class Reduction:
     for.  `compile` returns the target, its gadget map, and the chord diagram
     realising the target (ds-circle only, else None).  `small_targets` holds
     when the targets of generated sources fit the target brute force, so the
-    harness can decide the target of a source no-instance; for the other
-    kinds it does not compile such a case at all.
+    harness decides the target of every case; for the other kinds it decides
+    no target and does not compile a source no-instance at all.
     """
 
     parse: Callable[[str], Any]

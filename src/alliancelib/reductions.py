@@ -629,9 +629,12 @@ def read_budget(records: dict[str, list[str]]) -> int:
 
 
 def _read_budgeted_graph(text: str, tags: tuple[str, ...]) -> tuple[Graph, int, dict]:
-    """Graph, 'k' budget and `tags` records of a graph file with a budget."""
+    """Graph, 'k' budget and `tags` records of a graph file with a budget.
+    Trailing blank lines are cut, so records written after the graph leave
+    `write_graph`'s own text, and every other line keeps its number."""
     records, graph_lines = read_records(text, tags)
-    return parse_graph("\n".join(graph_lines)), read_budget(records), records
+    graph_text = "\n".join(graph_lines).rstrip("\n") + "\n"
+    return parse_graph(graph_text), read_budget(records), records
 
 
 def write_vc(inst: VC3Instance) -> str:

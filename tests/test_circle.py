@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -126,20 +127,34 @@ def test_ds_to_daf_diagram_graph_coherence():
 
 
 def test_ds_to_daf_self_check_failure(monkeypatch):
-    # Drop one crossing of the emitted diagram only: its labels are vertex
-    # ids, while the source chords here are strings.
+    # Edit the crossings of the emitted diagram only: its labels are vertex
+    # ids, while the source chords here are strings.  The two highest ids are
+    # forbidden pendants of one twin, and pendants of one host are not
+    # adjacent, so that pair is a non-edge.
     real = circle.crossing_pairs
 
-    def drop_one(seq):
-        pairs = real(seq)
-        if isinstance(seq[0], int):
-            next(pairs)
+    def drop_one(pairs, non_edge):
+        next(pairs)
         return pairs
 
-    monkeypatch.setattr(circle, "crossing_pairs", drop_one)
-    message = "^diagram/graph mismatch: 0 extra, 1 missing crossings$"
-    with pytest.raises(AssertionError, match=message):
-        ds_to_daf(DSCircleInstance(K3_DIAGRAM, 1))
+    def add_one(pairs, non_edge):
+        return itertools.chain(pairs, [non_edge])
+
+    def swap_one(pairs, non_edge):
+        next(pairs)
+        return itertools.chain([non_edge], pairs)
+
+    def patched(seq, edit):
+        if isinstance(seq[0], int):
+            return edit(real(seq), (max(seq), max(seq) - 1))
+        return real(seq)
+
+    cases = [(drop_one, 0, 1), (add_one, 1, 0), (swap_one, 1, 1)]
+    for edit, extra, missing in cases:
+        monkeypatch.setattr(circle, "crossing_pairs", partial(patched, edit=edit))
+        message = f"^diagram/graph mismatch: {extra} extra, {missing} missing crossings$"
+        with pytest.raises(AssertionError, match=message):
+            ds_to_daf(DSCircleInstance(K3_DIAGRAM, 1))
 
 
 def test_ds_to_daf_vertex_count_audit():

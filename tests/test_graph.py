@@ -81,30 +81,24 @@ def test_add_family():
 
 
 def test_add_family_checks_each_host_once():
-    # The errors are those add_edge raises for the first bad edge.
+    # The errors are those add_edge raises for the first bad edge, and a
+    # failed call leaves the graph exactly as it was.
     g = Graph()
     g.add_vertices(3)
-    with pytest.raises(SelfLoop, match="^self-loop at 4$"):
-        g.add_family(RoleKind.SQUARE, [0, 1], join=(v for v in [0, 4]))
-    for below in (True, False):
-        order = g.n + 2  # once the family is added
-        host = -1 if below else order
-        with pytest.raises(UnknownVertex, match=f"^vertex {host} not in graph of order {order}$"):
-            g.add_family(RoleKind.PENDANT, [("p", host), None], join=[host])
-    first = g.n
-    with pytest.raises(DuplicateEdge, match=f"^edge \\(0,{first}\\) already present$"):
-        g.add_family(RoleKind.APEX, (p for p in "ab"), join=(v for v in [0, 1, 0]))
-    assert g.m == 0  # a failed call adds its vertices but no edge
-    assert [g.tag(v) for v in range(3, g.n)] == [
-        RoleTag(RoleKind.SQUARE, 0),
-        RoleTag(RoleKind.SQUARE, 1),
-        RoleTag(RoleKind.PENDANT, ("p", -1)),
-        RoleTag(RoleKind.PENDANT, None),
-        RoleTag(RoleKind.PENDANT, ("p", 9)),
-        RoleTag(RoleKind.PENDANT, None),
-        RoleTag(RoleKind.APEX, "a"),
-        RoleTag(RoleKind.APEX, "b"),
+    g.add_edge(0, 1)
+    order = g.n  # a two-vertex family would take ids 3 and 4
+    failures = [
+        (SelfLoop, "^self-loop at 4$", RoleKind.SQUARE, [0, 1], (v for v in [0, 4])),
+        (UnknownVertex, "^vertex -1 not in graph of order 3$", RoleKind.PENDANT, [("p", -1), None], [-1]),
+        (UnknownVertex, "^vertex 5 not in graph of order 3$", RoleKind.PENDANT, [("p", 5), None], [2, 5]),
+        (DuplicateEdge, "^edge \\(0,3\\) already present$", RoleKind.APEX, (p for p in "ab"), (v for v in [0, 1, 0])),
     ]
+    for error, message, kind, payloads, join in failures:
+        before = g.clone()
+        with pytest.raises(error, match=message):
+            g.add_family(kind, payloads, join=join)
+        assert g == before and g.n == order and g.m == 1
+    assert g.add_family(RoleKind.APEX, ["a"], join=[0, 1, 2]) == [order]
 
 
 def test_add_family_neighbour_sets():
@@ -254,6 +248,31 @@ def test_star_forest_check():
     assert is_star_forest_after_deletion(path(2), set())
     assert is_star_forest_after_deletion(path(3), set())  # P3 is a star
     assert not is_star_forest_after_deletion(path(4), set())
+
+
+def _is_star_forest_by_components(g, deleted):
+    # A star on s > 1 vertices has s - 1 edges and a vertex of degree s - 1.
+    rest = [v for v in g.vertices() if v not in deleted]
+    for comp in components_of_induced(g, rest):
+        degrees = [g.deg_in(v, comp) for v in comp]
+        size = len(comp)
+        if size > 1 and (sum(degrees) // 2 != size - 1 or max(degrees) != size - 1):
+            return False
+    return True
+
+
+def test_star_forest_check_matches_component_definition():
+    rng = random.Random(12)
+    answers = []
+    for _ in range(600):
+        n = rng.randint(0, 10)
+        p = rng.choice((0.1, 0.2, 0.4))
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        deleted = {v for v in range(n) if rng.random() < 0.3}
+        answer = _is_star_forest_by_components(g, deleted)
+        assert is_star_forest_after_deletion(g, deleted) == answer
+        answers.append(answer)
+    assert 100 < sum(answers) < 500  # both answers are well represented
 
 
 def test_graph_format_roundtrip():

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alliancelib import graph
 from alliancelib.circle import parse_diagram, parse_ds_instance, write_diagram
 from alliancelib.cli import main
 from alliancelib.errors import ParseError
-from alliancelib.generators import gen_daf, gen_ds_circle
+from alliancelib.generators import gen_daf, gen_ds_circle, gen_vc
 from alliancelib.graph import (
     Graph,
     RoleKind,
@@ -33,7 +34,15 @@ from alliancelib.graph import (
     write_graph,
 )
 from alliancelib.kinds import REDUCTIONS
-from alliancelib.reductions import daf_to_da, parse_daf, parse_mrss, parse_rbds, parse_vc
+from alliancelib.reductions import (
+    daf_to_da,
+    parse_daf,
+    parse_mrss,
+    parse_rbds,
+    parse_vc,
+    write_daf,
+    write_vc,
+)
 
 # (reader, text, line): `line` is the line number a graph error must name.
 REJECTED = [
@@ -93,6 +102,28 @@ def test_graph_errors_in_budget_files_name_the_file_line():
         parse_vc("p da 1 0\nk 1\ne 0\n")
     with pytest.raises(ParseError, match="^line 4: "):
         parse_daf("p da 2 0\nk 1\nf 0\ne 0 0\n")
+
+
+def test_budget_files_take_the_bulk_reader(monkeypatch):
+    # Blanking the 'k' and 'f' records that follow the graph leaves only
+    # trailing blank lines, which must not turn the writer's own layout away.
+    results = []
+
+    def spy(text):
+        results.append(_parse_written(text))
+        return results[-1]
+
+    monkeypatch.setattr(graph, "_parse_written", spy)
+    daf_texts = [write_daf(gen_daf(random.Random(seed), 4)) for seed in range(1, 6)]
+    assert {"\nf " in text for text in daf_texts} == {True, False}
+    for text in daf_texts:
+        results.clear()
+        assert write_daf(parse_daf(text)) == text
+        assert len(results) == 1 and results[0] is not None
+    text = write_vc(gen_vc(random.Random(1), 6))
+    results.clear()
+    assert write_vc(parse_vc(text)) == text
+    assert len(results) == 1 and results[0] is not None
 
 
 # -- property tests: mutated texts ------------------------------------------
