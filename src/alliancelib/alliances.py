@@ -7,10 +7,11 @@ deg_in(v,S).  The empty set is never an alliance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import InvalidInstance, TooLarge
 from .graph import Graph
@@ -21,10 +22,14 @@ _ORACLE_WORK_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class DAInstance:
-    """Decision instance: does `graph` contain a defensive alliance of size <= k?"""
+    """Decision instance: does `graph` contain a defensive alliance of size <= k?
+
+    A plain instance forbids nothing: `forbidden` is a class constant, not a
+    field, so every target answers `.forbidden`."""
 
     graph: Graph
     k: int
+    forbidden: ClassVar[frozenset[int]] = frozenset()
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -93,16 +98,12 @@ def target_budget(target: Target) -> int:
     return target.r if isinstance(target, DAFInstance) else target.k
 
 
-def target_forbidden(target: Target) -> frozenset[int]:
-    return target.forbidden if isinstance(target, DAFInstance) else frozenset()
-
-
 def certifies(target: Target, cert: frozenset[int]) -> bool:
     """The certificate check of every kind: within the budget, free of
     forbidden vertices, and a defensive alliance of the target graph."""
     return (
         len(cert) <= target_budget(target)
-        and not cert & target_forbidden(target)
+        and not cert & target.forbidden
         and is_defensive_alliance(target.graph, cert)
     )
 
@@ -155,13 +156,13 @@ def brute_force_min_da(
 
 
 def candidate_filter(g: Graph, k: int) -> frozenset[int]:
-    """Vertices a size-<=k alliance could contain: degree(v) <= 2k.
+    """Vertices a size-<=k alliance could contain: degree(v) <= 2k-1.
 
     A member v of an alliance S needs deg_in(v,S) >= (deg(v)-1)/2 defenders
-    drawn from the other |S|-1 <= k-1 members, so high-degree vertices are
-    impossible and any search may discard them outright.
+    drawn from the other |S|-1 <= k-1 members, so deg(v) <= 2k-1: every
+    vertex of higher degree is impossible and any search may discard it.
     """
-    limit = 2 * k
+    limit = 2 * k - 1
     return frozenset([v for v, nb in enumerate(g._adj) if len(nb) <= limit])
 
 
@@ -170,17 +171,16 @@ def kernel(g: Graph, k: int, forbidden: Iterable[int] = ()) -> frozenset[int]:
 
     A member v needs deg(v) // 2 defenders among the other |S|-1 <= k-1
     members, all of them in the kernel too.  So, starting from
-    `candidate_filter` less the forbidden ids, drop every vertex with
-    deg(v) // 2 > k-1, then peel, until none is left, every vertex with fewer
-    than deg(v) // 2 neighbours still in the kernel.  No member of such an
+    `candidate_filter` less the forbidden ids (which already holds the degree
+    bound), peel, until none is left, every vertex with fewer than
+    deg(v) // 2 neighbours still in the kernel.  No member of such an
     alliance is ever dropped, and the peel visits each edge at most twice.
     A forbidden id outside the graph raises `UnknownVertex`.
     """
     banned = frozenset(forbidden)
     _check_ids(g, banned)
     adj = g._adj
-    top = k - 1
-    inside = {v for v in candidate_filter(g, k) - banned if len(adj[v]) // 2 <= top}
+    inside = set(candidate_filter(g, k) - banned)
     # spare[v]: neighbours in the kernel beyond the deg(v) // 2 that v needs.
     spare = {v: len(adj[v] & inside) - len(adj[v]) // 2 for v in inside}
     doomed = [v for v, extra in spare.items() if extra < 0]
@@ -215,7 +215,8 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     allowed vertices above it get local bit positions the first time the
     search meets them, and a member's neighbour mask is built once per seed,
     so sets are ints and deg_in(v, S) is one popcount; nothing is indexed by
-    global id beyond the graph and the kernel.
+    global id beyond the graph and the kernel.  A search deeper than the
+    interpreter's recursion limit raises `TooLarge`.
     """
     g, k = inst.graph, inst.k
     allowed = kernel(g, k, forbidden)
@@ -286,7 +287,11 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
             break
         index, verts, masks = {seed: 0}, [seed], [None]
         needs, stack = [len(adj[seed]) // 2], [0]
-        grow(1, mask_of(0), 0)
+        try:
+            grow(1, mask_of(0), 0)
+        except RecursionError:  # `grow` recurses once per member
+            depth = sys.getrecursionlimit()
+            raise TooLarge(f"search deeper than the recursion limit ({depth})") from None
     if best is None:
         return None
     return Witness(best[1])

@@ -128,18 +128,6 @@ def solve_ds_bruteforce(inst: DSCircleInstance) -> tuple[Label, ...] | None:
 # ---------------------------------------------------------------------------
 
 
-def _triangle_chain_edges(g: Graph, triangles: list[list[int]]) -> None:
-    """Intra-clique triangles plus full adjacency between consecutive ones."""
-    for tri in triangles:
-        g.add_edge(tri[0], tri[1])
-        g.add_edge(tri[0], tri[2])
-        g.add_edge(tri[1], tri[2])
-    for prev, nxt in zip(triangles, triangles[1:]):
-        for p in prev:
-            for q in nxt:
-                g.add_edge(p, q)
-
-
 def ds_to_daf(
     inst: DSCircleInstance,
 ) -> tuple[DAFInstance, ChordDiagram, GadgetMap]:
@@ -187,20 +175,24 @@ def ds_to_daf(
         for lab in labels
     }
 
-    # Every fan member hosts two triangles, one of each clique chain; the
-    # clique vertices take the id range [first_clique, last_clique).
+    # Every fan member hosts two triangles, one of each clique chain, each
+    # joined to its host and to its chain's previous triangle; the clique
+    # vertices take the id range [first_clique, last_clique).
     first_clique = g.n
     c1: dict[Label, list[list[list[int]]]] = {}
     c2: dict[Label, list[list[list[int]]]] = {}
     for lab in labels:
         c1[lab], c2[lab] = [[], []], [[], []]
         for side, note in enumerate("xy"):
+            chains = ((RoleKind.CLIQUE_C1, c1[lab][side]), (RoleKind.CLIQUE_C2, c2[lab][side]))
             for i, host in enumerate(fans[lab][side]):
                 payloads = [(lab, note, i, j) for j in range(3)]
-                c1[lab][side].append(g.add_family(RoleKind.CLIQUE_C1, payloads, join=[host]))
-                c2[lab][side].append(g.add_family(RoleKind.CLIQUE_C2, payloads, join=[host]))
-            _triangle_chain_edges(g, c1[lab][side])
-            _triangle_chain_edges(g, c2[lab][side])
+                for kind, tris in chains:
+                    a, b, c = g.add_family(kind, payloads, join=[host, *(tris[-1] if tris else ())])
+                    g.add_edge(a, b)
+                    g.add_edge(a, c)
+                    g.add_edge(b, c)
+                    tris.append([a, b, c])
     last_clique = g.n
 
     # Chain-end welds along the traversal sequence.  A pair contributes when

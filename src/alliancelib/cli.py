@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .alliances import DAInstance, certifies, solve_da, target_budget, target_forbidden
+from .alliances import DAInstance, certifies, solve_da, target_budget
 from .circle import write_diagram
 from .errors import AllianceError, BadParams, ParseError
 from .graph import parse_graph, parse_id_list, write_graph
@@ -83,7 +83,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     red = REDUCTIONS[args.kind]
     target, gm, diagram = red.compile(red.parse(_read(args.input)))
     budget = target_budget(target)
-    forbidden = target_forbidden(target)
 
     def emit(suffix: str, text: str) -> str:
         path = args.out + suffix
@@ -96,8 +95,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         emit(".budget", f"{budget}\n"),
         emit(".gadgets.json", gm.to_json()),
     ]
-    if forbidden:
-        written.append(emit(".forbidden", " ".join(map(str, sorted(forbidden))) + "\n"))
+    if target.forbidden:
+        written.append(emit(".forbidden", " ".join(map(str, sorted(target.forbidden))) + "\n"))
     if diagram is not None:
         written.append(emit(".diagram", write_diagram(diagram)))
     print(

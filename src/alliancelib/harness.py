@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 
-from .alliances import brute_force_min_da, certifies, target_budget, target_forbidden
+from .alliances import brute_force_min_da, certifies, target_budget
 from .errors import BadParams
 from .kinds import REDUCTIONS
 
@@ -75,9 +75,7 @@ def run_equiv_case(kind: str, case: int, rng: random.Random, max_n: int) -> Equi
         return EquivReport(case, kind, digest, True, False, budget, None, "forward-fail")
     if not red.small_targets:  # only a source yes-instance gets this far
         return EquivReport(case, kind, digest, True, True, budget, None, "forward-ok")
-    found = brute_force_min_da(
-        target.graph, forbidden=target_forbidden(target), max_size=budget
-    )
+    found = brute_force_min_da(target.graph, forbidden=target.forbidden, max_size=budget)
     verdict = "iff-ok" if yes == (found is not None) else "iff-fail"
     return EquivReport(case, kind, digest, yes, valid, budget, found is not None, verdict)
 

@@ -140,13 +140,15 @@ def test_brute_force_max_size():
 def test_candidate_filter_star():
     star10 = build_graph(10, [(0, i) for i in range(1, 10)])
     cands = candidate_filter(star10, 4)
-    assert 0 not in cands  # degree 9 > 8
+    assert 0 not in cands  # degree 9 > 7
     assert cands == frozenset(range(1, 10))
 
 
 def test_candidate_filter_low_degree_keeps_all():
+    # A lone degree-2 vertex has no defender; a pair on the cycle defends itself.
     c8 = cycle(8)
-    assert candidate_filter(c8, 1) == frozenset(range(8))
+    assert candidate_filter(c8, 1) == frozenset()
+    assert candidate_filter(c8, 2) == frozenset(range(8))
 
 
 def test_candidate_filter_soundness():
@@ -324,6 +326,23 @@ def test_solve_da_long_cycle_memory():
         tracemalloc.stop()
     assert found == Witness((0, 1))
     assert peak < 8 * 2**20
+
+
+def pendant_ring(n):
+    """A cycle on 0..n-1 with two pendant leaves per cycle vertex, and the
+    leaves: with them forbidden, the only alliance is the whole cycle."""
+    leaves = [(i, n + 2 * i + j) for i in range(n) for j in range(2)]
+    return build_graph(3 * n, [(i, (i + 1) % n) for i in range(n)] + leaves), range(n, 3 * n)
+
+
+def test_solve_da_deep_alliance():
+    g, leaves = pendant_ring(200)
+    assert solve_da(DAInstance(g, 200), leaves) == Witness(tuple(range(200)))
+    # The search recurses once per member: too deep a search is TooLarge,
+    # not a RecursionError.
+    g, leaves = pendant_ring(1100)
+    with pytest.raises(TooLarge, match="recursion limit"):
+        solve_da(DAInstance(g, 1100), leaves)
 
 
 def test_solve_da_rejects_unknown_forbidden():

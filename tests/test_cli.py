@@ -52,6 +52,21 @@ def test_solve(tmp_path, capsys):
     assert json.loads(out)["witness"] == [0, 1]
 
 
+def test_solve_too_deep_exits_2(tmp_path, capsys):
+    # A ring of 1,100 vertices with two forbidden leaves each: the only
+    # alliance is the ring, deeper than the search can recurse.
+    n = 1100
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n + 2 * i + j) for i in range(n) for j in range(2)]
+    f = tmp_path / "ring.graph"
+    f.write_text(f"p da {3 * n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    leaves = ",".join(map(str, range(n, 3 * n)))
+    code, out, err = run(capsys, "solve", str(f), "--budget", str(n), "--forbidden", leaves)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "recursion limit" in err
+    assert "Traceback" not in err
+
+
 def test_reduce_and_certify_mrss(tmp_path, capsys):
     src = tmp_path / "fig1.mrss"
     src.write_text("mrss 2 3 2\n3 3\n2 1\n1 1\n1 2\n")

@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
 import json
 
+from alliancelib.cli import main
 from alliancelib.harness import (
     DEFAULT_SEED,
     KINDS,
     render_reports,
     run_equiv_test,
 )
+from alliancelib.kinds import REDUCTIONS
 
 
 def test_all_kinds_zero_failures_small():
@@ -69,3 +72,43 @@ def test_render_formats():
     lines = blob.strip().splitlines()
     assert len(lines) == 6
     assert json.loads(lines[-1])["seed"] == DEFAULT_SEED
+
+
+def _cli_verdicts(capsys, kind, count):
+    code = main(["equiv-test", kind, "--count", str(count)])
+    lines = capsys.readouterr().out.splitlines()
+    return code, [line.rsplit("verdict=", 1)[1] for line in lines[:-1]], lines[-1]
+
+
+def test_forward_fail_verdict(monkeypatch, capsys):
+    # A forward map that returns the empty set certifies nothing, so every
+    # source yes-instance fails forward; source no-instances are still skipped.
+    broken = dataclasses.replace(REDUCTIONS["rbds"], forward=lambda gm, sol: frozenset())
+    monkeypatch.setitem(REDUCTIONS, "rbds", broken)
+    reports, summary = run_equiv_test("rbds", count=30)
+    yes = [r for r in reports if r.source_answer]
+    assert yes and len(yes) < len(reports)
+    for r in reports:
+        want = "forward-fail" if r.source_answer else "skipped-too-large"
+        assert r.verdict == want and f"verdict={want}" in r.text()
+    assert all(r.certificate_valid is False for r in yes)
+    assert summary.failures == len(yes) and summary.forward_ok == 0
+    code, verdicts, last = _cli_verdicts(capsys, "rbds", 30)
+    assert code == 1 and verdicts == [r.verdict for r in reports]
+    assert last == summary.text()
+
+
+def test_iff_fail_verdict(monkeypatch, capsys):
+    # A source oracle that always answers no disagrees with the target on
+    # every case whose target has an alliance.
+    broken = dataclasses.replace(REDUCTIONS["daf"], solve_source=lambda inst: None)
+    monkeypatch.setitem(REDUCTIONS, "daf", broken)
+    reports, summary = run_equiv_test("daf", count=40)
+    assert any(r.target_answer for r in reports) and not all(r.target_answer for r in reports)
+    for r in reports:
+        want = "iff-fail" if r.target_answer else "iff-ok"
+        assert r.verdict == want and f"verdict={want}" in r.text()
+    assert summary.failures == sum(r.target_answer for r in reports)
+    code, verdicts, last = _cli_verdicts(capsys, "daf", 40)
+    assert code == 1 and verdicts == [r.verdict for r in reports]
+    assert last == summary.text()
