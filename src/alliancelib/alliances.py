@@ -207,25 +207,38 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     all allowed vertices would find.  Ties are broken by size, then
     lexicographically, so a later seed must beat the best size outright.
 
+    The search runs by size first, in passes under a size cap.  An alliance
+    holding v has at least deg(v) // 2 + 1 members, so the first cap is one
+    more than the least deg // 2 in the kernel; a pass that finds nothing
+    doubles the cap, clamped to k.  A pass skips every seed whose own need is
+    at least the cap.  A pass that found nothing, skipped no seed and cut no
+    branch only for room walked the tree a pass at cap k would walk, so it
+    ends the search; otherwise the pass at cap k is the last.  So there are
+    at most ceil(log2(k / first cap)) + 1 passes, and the first pass with an
+    answer holds the minimum one.
+
     A member v needs deg(v) // 2 neighbours inside S, and one more vertex adds
     at most one, so a branch stops once some member's deficit exceeds the
-    room left under the limit (k, or the best size so far) or the number of
-    its neighbours still free to join.  A set that is already an alliance is
-    recorded and not grown, since any superset is larger.  Within a seed,
-    allowed vertices above it get local bit positions the first time the
-    search meets them, and a member's neighbour mask is built once per seed,
-    so sets are ints and deg_in(v, S) is one popcount; nothing is indexed by
-    global id beyond the graph and the kernel.  A search deeper than the
-    interpreter's recursion limit raises `TooLarge`.
+    room left under the limit (the cap, or the best size so far) or the
+    number of its neighbours still free to join.  A set that is already an
+    alliance is recorded and not grown, since any superset is larger.  Within
+    a seed, allowed vertices above it get local bit positions the first time
+    the search meets them, and a member's neighbour mask is built once per
+    seed, so sets are ints and deg_in(v, S) is one popcount; nothing is
+    indexed by global id beyond the graph and the kernel.  A search deeper
+    than the interpreter's recursion limit raises `TooLarge`.
     """
     g, k = inst.graph, inst.k
     allowed = kernel(g, k, forbidden)
     adj = g._adj
     best: tuple[int, tuple[int, ...]] | None = None
+    partial = False  # this pass skipped a seed or cut a branch only for room
 
     # Per-seed state, rebound for each seed: global id -> local bit position,
     # and per position its vertex, neighbour mask (built when first added)
-    # and defender need; `stack` holds the members' positions.
+    # and defender need; `stack` holds the members' positions.  A member
+    # with all its defenders keeps them in every superset, so `grow` checks
+    # only `short`, the members that lacked some when the set was smaller.
     seed = limit = 0
     index: dict[int, int] = {}
     verts: list[int] = []
@@ -251,21 +264,25 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
             masks[p] = m
         return m
 
-    def grow(members: int, ext: int, dead: int) -> None:
-        nonlocal best, limit
+    def grow(members: int, ext: int, dead: int, short: list[int]) -> None:
+        nonlocal best, limit, partial
         room = limit - len(stack)
         free = ~(members | dead)
-        alliance = True
-        for p in stack:
+        lacking = []
+        for p in short:
             m = masks[p]
             deficit = needs[p] - (m & members).bit_count()
             if deficit > 0:
                 # Each added member is at most one more defender, and only
                 # a free neighbour can become one.
-                if deficit > room or deficit > (m & free).bit_count():
+                if deficit > room:
+                    if deficit <= (m & free).bit_count():
+                        partial = True  # a larger cap might not cut here
                     return
-                alliance = False
-        if alliance:
+                if deficit > (m & free).bit_count():
+                    return
+                lacking.append(p)
+        if not lacking:
             key = (len(stack), tuple(sorted(verts[p] for p in stack)))
             if best is None or key < best:
                 best, limit = key, key[0]
@@ -276,22 +293,37 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
             p = bit.bit_length() - 1
             grown = members | bit
             stack.append(p)
-            grow(grown, (ext | mask_of(p)) & ~grown & ~dead, dead)
+            lacking.append(p)
+            grow(grown, (ext | mask_of(p)) & ~grown & ~dead, dead, lacking)
             stack.pop()
+            lacking.pop()
             dead |= bit
 
-    for seed in sorted(allowed):
-        # A later seed's sets sort after the best one, so only a smaller size wins.
-        limit = k if best is None else best[0] - 1
-        if limit < 1:
-            break
-        index, verts, masks = {seed: 0}, [seed], [None]
-        needs, stack = [len(adj[seed]) // 2], [0]
-        try:
-            grow(1, mask_of(0), 0)
-        except RecursionError:  # `grow` recurses once per member
-            depth = sys.getrecursionlimit()
-            raise TooLarge(f"search deeper than the recursion limit ({depth})") from None
-    if best is None:
+    if not allowed:
         return None
-    return Witness(best[1])
+    seeds = sorted(allowed)
+    # The kernel keeps only vertices with deg // 2 <= k - 1, so cap <= k.
+    cap = 1 + min([len(adj[v]) // 2 for v in seeds])
+    while True:
+        partial = False
+        for seed in seeds:
+            # A later seed's sets sort after the best one, so only a smaller size wins.
+            limit = cap if best is None else best[0] - 1
+            if limit < 1:
+                break
+            need = len(adj[seed]) // 2
+            if need >= limit:  # its sets have more than `limit` members
+                partial = True
+                continue
+            index, verts, masks = {seed: 0}, [seed], [None]
+            needs, stack = [need], [0]
+            try:
+                grow(1, mask_of(0), 0, [0])
+            except RecursionError:  # `grow` recurses once per member
+                depth = sys.getrecursionlimit()
+                raise TooLarge(f"search deeper than the recursion limit ({depth})") from None
+        if best is not None:
+            return Witness(best[1])
+        if not partial or cap == k:
+            return None
+        cap = min(2 * cap, k)

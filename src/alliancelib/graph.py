@@ -306,10 +306,12 @@ def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
 
 
 def write_graph(g: Graph) -> str:
-    lines = [f"p da {g.n} {g.m}"]
+    lines = [""]  # the header, once the edge lines have counted m
     lines.extend([f"e {u} {v}" for u, nb in enumerate(g._adj) for v in sorted(nb) if u < v])
+    lines[0] = f"p da {g.n} {len(lines) - 1}"
     original = RoleKind.ORIGINAL
-    lines.extend([f"t {v} {k.value}" for v, k in enumerate(g._kinds) if k is not original])
+    # `_value_` is the member's stored name; `.value` is a Python-level property.
+    lines.extend([f"t {v} {k._value_}" for v, k in enumerate(g._kinds) if k is not original])
     return "\n".join(lines) + "\n"
 
 

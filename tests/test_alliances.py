@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 
 import networkx as nx
@@ -164,14 +165,14 @@ def test_candidate_filter_soundness():
 # -- peel kernel ------------------------------------------------------------
 
 
-def atlas_cases():
-    """Every graph of at most 7 vertices (the networkx atlas), with budgets
-    1..4 and three forbidden sets: none, vertex 0, and the even vertices."""
+def atlas_cases(budgets=range(1, 5)):
+    """Every graph of at most 7 vertices (the networkx atlas), with the given
+    budgets and three forbidden sets: none, vertex 0, and the even vertices."""
     for nxg in nx.graph_atlas_g()[1:]:
         n = nxg.number_of_nodes()
         g = build_graph(n, nxg.edges())
         for forbidden in (frozenset(), frozenset({0}), frozenset(range(0, n, 2))):
-            for k in range(1, 5):
+            for k in budgets:
                 yield g, k, forbidden
 
 
@@ -215,10 +216,42 @@ def test_kernel_peels_a_chain():
 
 
 def test_solve_da_matches_brute_force_on_the_atlas():
-    for g, k, forbidden in atlas_cases():
+    # Budgets 5..7 make the size caps double past 4 (1, 2, 4, then k, or
+    # 2, 4, 6), so a wrong stop between passes shows as a missed witness.
+    for g, k, forbidden in atlas_cases(range(1, 8)):
         assert solve_da(DAInstance(g, k), forbidden) == brute_force_min_da(
             g, forbidden, max_size=k
         )
+
+
+def test_solve_da_skipped_seeds_keep_the_search_going():
+    # K5 on 0..4 and vertex 5 joined to 0 and 1.  Vertex 5 needs one
+    # defender, so the first cap is 2: that pass skips 0..4, which need two,
+    # and seed 5 dies on its free neighbours (0 and 1 are below it), not on
+    # room.  Only the skips show that a larger cap may still find one.
+    k5 = list(itertools.combinations(range(5), 2))
+    g = build_graph(6, k5 + [(0, 5), (1, 5)])
+    assert solve_da(DAInstance(g, 3)) == Witness((0, 1, 2)) == brute_force_min_da(g)
+
+
+def test_solve_da_searches_small_sizes_first():
+    # C30 and the isolated vertex 30: the first cap is 1, so the search
+    # skips every cycle seed and grows only {30}, where a search under the
+    # full budget would walk the sets of seed 0 first.
+    g = build_graph(31, [(i, (i + 1) % 30) for i in range(30)])
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "grow":
+            calls.append(event)
+
+    sys.setprofile(count)
+    try:
+        found = solve_da(DAInstance(g, 3))
+    finally:
+        sys.setprofile(None)
+    assert found == Witness((30,))
+    assert len(calls) == 1
 
 
 def test_solve_da_calls_candidate_filter_once(monkeypatch):
