@@ -14,9 +14,13 @@ joined to the same hosts.  It checks each host (in range, not one of the new
 vertices, not repeated) before it touches the graph, so a failed call
 changes nothing, then joins the family to each host with set operations and
 gives each new vertex a copy of the host set, rather than one `add_edge` per
-edge.  Since ids follow creation order, a compiler must create its families
-in the order that numbers them; the order in which edges are added does not
-matter, as adjacency is a set and the writer sorts edges.
+edge.  A one-vertex family (the apex of a VC target, `t` and `t'` of an MRSS
+target, `a`, `b`, `c` of an RBDS target, each joined to thousands of
+pendants) is joined with one `set.add` per host, which costs about half a
+`set.update` with a one-element list; a larger family with one `set.update`
+per host.  Since ids follow creation order, a compiler must create its
+families in the order that numbers them; the order in which edges are added
+does not matter, as adjacency is a set and the writer sorts edges.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ class Graph:
         to every vertex of `join`; returns the new ids.  `payloads` and `join`
         are each read once, so either may be a generator.  Every host is
         checked, as `add_edge` would check its edges to the family, before
-        the graph is touched, so a failed call leaves the graph as it was."""
+        the graph is touched, so a failed call leaves the graph as it was.
+        A single new vertex is joined to each host with `set.add`."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         payloads = list(payloads)
@@ -121,8 +126,13 @@ class Graph:
                 self._check_vertex(host)
                 raise DuplicateEdge(f"edge ({host},{first}) already present")
             hosts.add(host)
-        for host in hosts:
-            adj[host].update(ids)
+        if len(ids) == 1:
+            new = ids[0]
+            for host in hosts:
+                adj[host].add(new)
+        else:
+            for host in hosts:
+                adj[host].update(ids)
         # Each vertex but the last gets a copy of `hosts`, the last the set
         # itself: one copy per vertex, and no empty set filled afterwards.
         adj.extend(map(set, repeat(hosts, len(ids) - 1)))

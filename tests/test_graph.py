@@ -86,12 +86,16 @@ def test_add_family_checks_each_host_once():
     g = Graph()
     g.add_vertices(3)
     g.add_edge(0, 1)
-    order = g.n  # a two-vertex family would take ids 3 and 4
+    order = g.n  # a two-vertex family would take ids 3 and 4, one vertex id 3
     failures = [
         (SelfLoop, "^self-loop at 4$", RoleKind.SQUARE, [0, 1], (v for v in [0, 4])),
         (UnknownVertex, "^vertex -1 not in graph of order 3$", RoleKind.PENDANT, [("p", -1), None], [-1]),
         (UnknownVertex, "^vertex 5 not in graph of order 3$", RoleKind.PENDANT, [("p", 5), None], [2, 5]),
         (DuplicateEdge, "^edge \\(0,3\\) already present$", RoleKind.APEX, (p for p in "ab"), (v for v in [0, 1, 0])),
+        # A one-vertex family (id 3) is joined through another path.
+        (SelfLoop, "^self-loop at 3$", RoleKind.APEX, ["a"], [0, 3]),
+        (UnknownVertex, "^vertex 4 not in graph of order 3$", RoleKind.APEX, ["a"], [1, 4]),
+        (DuplicateEdge, "^edge \\(2,3\\) already present$", RoleKind.APEX, ["a"], (v for v in [2, 0, 2])),
     ]
     for error, message, kind, payloads, join in failures:
         before = g.clone()

@@ -1,12 +1,18 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import random
+
+import pytest
 
 from alliancelib.cli import main
 from alliancelib.harness import (
+    DEFAULT_MAX_N,
     DEFAULT_SEED,
     KINDS,
     render_reports,
+    run_equiv_case,
     run_equiv_test,
 )
 from alliancelib.kinds import REDUCTIONS
@@ -112,3 +118,43 @@ def test_iff_fail_verdict(monkeypatch, capsys):
     code, verdicts, last = _cli_verdicts(capsys, "daf", 40)
     assert code == 1 and verdicts == [r.verdict for r in reports]
     assert last == summary.text()
+
+
+def _boom(inst):
+    raise RuntimeError("compile failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_case_restores_collector(monkeypatch, enabled):
+    # A case pauses the cyclic collector only if it was on, and leaves it as
+    # it found it, also when the case raises.
+    broken = dataclasses.replace(REDUCTIONS["vc"], compile=_boom)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        run_equiv_case("vc", 0, random.Random(DEFAULT_SEED), DEFAULT_MAX_N["vc"])
+        assert gc.isenabled() is enabled
+        monkeypatch.setitem(REDUCTIONS, "vc", broken)
+        with pytest.raises(RuntimeError, match="compile failed"):
+            run_equiv_case("vc", 0, random.Random(DEFAULT_SEED), DEFAULT_MAX_N["vc"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_paused_cases_leave_no_cycles():
+    # The pause is sound only while targets and gadget maps hold no reference
+    # cycle: reference counting must free everything a case made.  A cycle
+    # added later would pile up under the pause and fail here first.
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in KINDS:
+            rng = random.Random(DEFAULT_SEED)
+            for case in range(5):
+                run_equiv_case(kind, case, rng, DEFAULT_MAX_N[kind])
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
