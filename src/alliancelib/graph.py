@@ -177,7 +177,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(nb) for nb in self._adj) // 2
+        return sum(map(len, self._adj)) // 2
 
     def vertices(self) -> range:
         return range(len(self._adj))

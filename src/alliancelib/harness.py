@@ -20,6 +20,23 @@ the case, not the compile alone: the first collection after a compile would
 still walk the target while it is checked.  Nothing is deferred by it, since
 a collection after many paused cases finds no unreachable object (a test
 asserts this).
+
+A case has two steps: *draw* (the record's `gen`, then its `write`) and
+*decide* (solve the source, compile, map forward, certify and, for
+`small_targets` kinds, brute-force the target).  Draw runs on every case, so
+the random stream and every later instance are the same as without a memo.
+Decide is memoised per process: the key is the `Reduction` record object
+and the full source text, the value the case's `EquivReport`, and a repeated
+source returns that report with its own case number.  This is sound because
+every compiler and oracle is a pure function of the source, whose text
+`write` spells out in full (reruns are byte-identical).  Keying on the
+record rather than the kind name keeps a record swapped into `REDUCTIONS`
+from reading another record's verdicts; a patch of a module function that a
+record calls by name changes no key, so clear `_memo` around one.  Only
+reports are stored, never a target or gadget map, and nothing is stored for
+a case that raises.  The memo is cleared when it reaches `MEMO_CAP` entries
+(one default seed of all five kinds is 475 cases); at default counts about
+one case in eight repeats an earlier source of its seed.
 """
 
 from __future__ import annotations
@@ -28,16 +45,17 @@ import gc
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .alliances import brute_force_min_da, certifies, target_budget
 from .errors import BadParams
-from .kinds import REDUCTIONS
+from .kinds import REDUCTIONS, Reduction
 
 DEFAULT_SEED = 20250810
 KINDS = tuple(REDUCTIONS)
 DEFAULT_COUNTS = {"mrss": 25, "rbds": 100, "vc": 100, "ds-circle": 50, "daf": 200}
 DEFAULT_MAX_N = {"mrss": 3, "rbds": 4, "vc": 8, "ds-circle": 3, "daf": 6}
+MEMO_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -74,22 +92,40 @@ def _check_kind(kind: str) -> None:
 def run_equiv_case(kind: str, case: int, rng: random.Random, max_n: int) -> EquivReport:
     """One case of `kind`, with the cyclic collector paused while its target
     is built, checked and dropped; a collector the caller turned off stays
-    off."""
+    off.  The source is drawn from `rng` on every call; a source this
+    process already decided for the same record returns the stored report
+    with `case` replaced, without compiling anything."""
     _check_kind(kind)
     paused = gc.isenabled()
     gc.disable()
     try:
-        # The target is a local of `_case`, so it is dropped inside the pause.
+        # The target is a local of `_decide`, so it is dropped inside the pause.
         return _case(kind, case, rng, max_n)
     finally:
         if paused:
             gc.enable()
 
 
+# (record, source text) -> the report of the first case that drew it.
+_memo: dict[tuple[Reduction, str], EquivReport] = {}
+
+
 def _case(kind: str, case: int, rng: random.Random, max_n: int) -> EquivReport:
     red = REDUCTIONS[kind]
     inst = red.gen(rng, max_n)
-    digest = _digest(red.write(inst))
+    text = red.write(inst)
+    key = (red, text)
+    hit = _memo.get(key)
+    if hit is not None:
+        return replace(hit, case=case)
+    report = _decide(red, kind, case, _digest(text), inst)
+    if len(_memo) >= MEMO_CAP:
+        _memo.clear()
+    _memo[key] = report
+    return report
+
+
+def _decide(red: Reduction, kind: str, case: int, digest: str, inst) -> EquivReport:
     sol = red.solve_source(inst)
     yes = sol is not None
     if not yes and not red.small_targets:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from alliancelib import harness
 from alliancelib.cli import main
 from alliancelib.harness import (
     DEFAULT_MAX_N,
@@ -16,6 +17,14 @@ from alliancelib.harness import (
     run_equiv_test,
 )
 from alliancelib.kinds import REDUCTIONS
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    # Every test starts with no decided source, so none reads another's.
+    harness._memo.clear()
+    yield
+    harness._memo.clear()
 
 
 def test_all_kinds_zero_failures_small():
@@ -63,8 +72,11 @@ def test_daf_kind_runs_full_iff():
 
 def test_report_stream_is_deterministic():
     one = run_equiv_test("rbds", count=20, seed=123)
+    harness._memo.clear()
     two = run_equiv_test("rbds", count=20, seed=123)
     assert one == two
+    # a warm rerun reads every report from the memo and must agree too
+    assert run_equiv_test("rbds", count=20, seed=123) == one
     other = run_equiv_test("rbds", count=20, seed=124)
     assert other != one
 
@@ -153,8 +165,85 @@ def test_paused_cases_leave_no_cycles():
         for kind in KINDS:
             rng = random.Random(DEFAULT_SEED)
             for case in range(5):
+                harness._memo.clear()  # so every case builds its target
                 run_equiv_case(kind, case, rng, DEFAULT_MAX_N[kind])
         assert gc.collect() == 0
     finally:
         if was:
             gc.enable()
+
+
+def _counting(kind):
+    """`kind`'s record, built once, with a compile that counts its calls."""
+    calls = []
+    red = REDUCTIONS[kind]
+
+    def compile_(inst):
+        calls.append(inst)
+        return red.compile(inst)
+
+    return dataclasses.replace(red, compile=compile_), calls
+
+
+def test_memo_repeated_source_decided_once(monkeypatch):
+    # Two cases drawn from equal rng states draw the same source: the second
+    # gets the first report with its own case number, and nothing compiles.
+    counted, calls = _counting("daf")
+    monkeypatch.setitem(REDUCTIONS, "daf", counted)
+    first = run_equiv_case("daf", 0, random.Random(DEFAULT_SEED), DEFAULT_MAX_N["daf"])
+    again = run_equiv_case("daf", 7, random.Random(DEFAULT_SEED), DEFAULT_MAX_N["daf"])
+    assert len(calls) == 1
+    assert again.case == 7 and again == dataclasses.replace(first, case=7)
+    assert first.verdict == "iff-ok"
+
+
+def _first_yes(kind):
+    rng = random.Random(DEFAULT_SEED)
+    while not (report := run_equiv_case(kind, 0, rng, DEFAULT_MAX_N[kind])).source_answer:
+        pass
+    return report
+
+
+def test_memo_keyed_on_the_record(monkeypatch):
+    # A record swapped in for a kind decides its sources itself, though the
+    # registered record already decided the same texts.
+    good = _first_yes("rbds")
+    assert good.verdict == "forward-ok"
+    counted, calls = _counting("rbds")
+    broken = dataclasses.replace(counted, forward=lambda gm, sol: frozenset())
+    monkeypatch.setitem(REDUCTIONS, "rbds", broken)
+    bad = _first_yes("rbds")
+    assert bad.digest == good.digest and bad.verdict == "forward-fail"
+    assert len(calls) == 1
+
+
+def test_memo_stores_nothing_when_a_case_raises(monkeypatch):
+    broken = dataclasses.replace(REDUCTIONS["vc"], compile=_boom)
+    monkeypatch.setitem(REDUCTIONS, "vc", broken)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="compile failed"):
+            run_equiv_case("vc", 0, random.Random(DEFAULT_SEED), DEFAULT_MAX_N["vc"])
+    assert not harness._memo
+
+
+def test_memo_stays_under_its_cap(monkeypatch):
+    monkeypatch.setattr(harness, "MEMO_CAP", 3)
+    seen = set()
+    for seed in range(10):
+        report = run_equiv_case("daf", 0, random.Random(seed), DEFAULT_MAX_N["daf"])
+        seen.add(report.digest)
+        assert 1 <= len(harness._memo) <= 3
+    assert len(seen) == 10
+
+
+def test_memo_keeps_the_rng_stream():
+    # Draw runs on every case, hit or miss, so the rng ends where a cold
+    # run leaves it and later cases draw the same sources.
+    for kind in KINDS:
+        states = []
+        for _ in range(2):  # cold, then warm
+            rng = random.Random(DEFAULT_SEED)
+            for case in range(20):
+                run_equiv_case(kind, case, rng, DEFAULT_MAX_N[kind])
+            states.append(rng.getstate())
+        assert states[0] == states[1], kind
