@@ -7,7 +7,6 @@ deg_in(v,S).  The empty set is never an alliance.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -210,12 +209,13 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     The search runs by size first, in passes under a size cap.  An alliance
     holding v has at least deg(v) // 2 + 1 members, so the first cap is one
     more than the least deg // 2 in the kernel; a pass that finds nothing
-    doubles the cap, clamped to k.  A pass skips every seed whose own need is
-    at least the cap.  A pass that found nothing, skipped no seed and cut no
-    branch only for room walked the tree a pass at cap k would walk, so it
-    ends the search; otherwise the pass at cap k is the last.  So there are
-    at most ceil(log2(k / first cap)) + 1 passes, and the first pass with an
-    answer holds the minimum one.
+    doubles the cap, clamped to k.  Each pass lists the seeds it skipped (their
+    own need is at least the cap) or cut somewhere only for room, and the next
+    pass searches those seeds alone: any other seed's tree does not depend on
+    the cap, and it held no alliance.  The search ends with nothing once that
+    list is empty or the pass at cap k is done, so there are at most
+    ceil(log2(k / first cap)) + 1 passes, and the first pass with an answer
+    holds the minimum one.
 
     A member v needs deg(v) // 2 neighbours inside S, and one more vertex adds
     at most one, so a branch stops once some member's deficit exceeds the
@@ -225,87 +225,20 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     a seed, allowed vertices above it get local bit positions the first time
     the search meets them, and a member's neighbour mask is built once per
     seed, so sets are ints and deg_in(v, S) is one popcount; nothing is
-    indexed by global id beyond the graph and the kernel.  A search deeper
-    than the interpreter's recursion limit raises `TooLarge`.
+    indexed by global id beyond the graph and the kernel.  The search is one
+    loop over an explicit stack, so a witness may be as deep as the budget.
     """
     g, k = inst.graph, inst.k
     allowed = kernel(g, k, forbidden)
-    adj = g._adj
-    best: tuple[int, tuple[int, ...]] | None = None
-    partial = False  # this pass skipped a seed or cut a branch only for room
-
-    # Per-seed state, rebound for each seed: global id -> local bit position,
-    # and per position its vertex, neighbour mask (built when first added)
-    # and defender need; `stack` holds the members' positions.  A member
-    # with all its defenders keeps them in every superset, so `grow` checks
-    # only `short`, the members that lacked some when the set was smaller.
-    seed = limit = 0
-    index: dict[int, int] = {}
-    verts: list[int] = []
-    masks: list[int | None] = []
-    needs: list[int] = []
-    stack: list[int] = []
-
-    def mask_of(p: int) -> int:
-        # Sets grown from `seed` have it as their minimum: no position below.
-        m = masks[p]
-        if m is None:
-            m = 0
-            for w in adj[verts[p]]:
-                q = index.get(w)
-                if q is None:
-                    if w <= seed or w not in allowed:
-                        continue
-                    q = index[w] = len(verts)
-                    verts.append(w)
-                    masks.append(None)
-                    needs.append(len(adj[w]) // 2)
-                m |= 1 << q
-            masks[p] = m
-        return m
-
-    def grow(members: int, ext: int, dead: int, short: list[int]) -> None:
-        nonlocal best, limit, partial
-        room = limit - len(stack)
-        free = ~(members | dead)
-        lacking = []
-        for p in short:
-            m = masks[p]
-            deficit = needs[p] - (m & members).bit_count()
-            if deficit > 0:
-                # Each added member is at most one more defender, and only
-                # a free neighbour can become one.
-                if deficit > room:
-                    if deficit <= (m & free).bit_count():
-                        partial = True  # a larger cap might not cut here
-                    return
-                if deficit > (m & free).bit_count():
-                    return
-                lacking.append(p)
-        if not lacking:
-            key = (len(stack), tuple(sorted(verts[p] for p in stack)))
-            if best is None or key < best:
-                best, limit = key, key[0]
-            return  # any superset is larger
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            p = bit.bit_length() - 1
-            grown = members | bit
-            stack.append(p)
-            lacking.append(p)
-            grow(grown, (ext | mask_of(p)) & ~grown & ~dead, dead, lacking)
-            stack.pop()
-            lacking.pop()
-            dead |= bit
-
     if not allowed:
         return None
+    adj = g._adj
+    best: tuple[int, tuple[int, ...]] | None = None
     seeds = sorted(allowed)
     # The kernel keeps only vertices with deg // 2 <= k - 1, so cap <= k.
     cap = 1 + min([len(adj[v]) // 2 for v in seeds])
     while True:
-        partial = False
+        carry: list[int] = []  # seeds this pass skipped or cut for room
         for seed in seeds:
             # A later seed's sets sort after the best one, so only a smaller size wins.
             limit = cap if best is None else best[0] - 1
@@ -313,17 +246,71 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
                 break
             need = len(adj[seed]) // 2
             if need >= limit:  # its sets have more than `limit` members
-                partial = True
+                carry.append(seed)
                 continue
-            index, verts, masks = {seed: 0}, [seed], [None]
-            needs, stack = [need], [0]
-            try:
-                grow(1, mask_of(0), 0, [0])
-            except RecursionError:  # `grow` recurses once per member
-                depth = sys.getrecursionlimit()
-                raise TooLarge(f"search deeper than the recursion limit ({depth})") from None
+            # Global id -> local bit position, and per position its vertex,
+            # neighbour mask (built when first added) and defender need.  A
+            # frame holds a set, the extensions still to try, the positions
+            # it excludes and `short`, its members still lacking defenders;
+            # under an empty root frame, the frame at depth d has d members.
+            # A member with all its defenders keeps them in every superset,
+            # so a new set checks only its parent's `short` and itself.
+            index, verts, needs = {seed: 0}, [seed], [need]
+            masks: list[int | None] = [None]
+            stack: list[tuple[int, int, int, list[int]]] = [(0, 1, 0, [])]
+            while stack:
+                members, ext, dead, short = stack[-1]
+                if not ext:
+                    stack.pop()
+                    continue
+                bit = ext & -ext
+                ext ^= bit
+                stack[-1] = (members, ext, dead | bit, short)
+                p = bit.bit_length() - 1
+                grown = members | bit
+                m = masks[p]
+                if m is None:
+                    m = 0
+                    # Sets grown from `seed` have it as their minimum: no position below.
+                    for w in adj[verts[p]]:
+                        q = index.get(w)
+                        if q is None:
+                            if w <= seed or w not in allowed:
+                                continue
+                            q = index[w] = len(verts)
+                            verts.append(w)
+                            masks.append(None)
+                            needs.append(len(adj[w]) // 2)
+                        m |= 1 << q
+                    masks[p] = m
+                room = limit - len(stack)
+                free = ~(grown | dead)
+                lacking = []
+                short.append(p)
+                for q in short:
+                    mq = masks[q]
+                    deficit = needs[q] - (mq & grown).bit_count()
+                    if deficit > 0:
+                        # Each added member is at most one more defender, and
+                        # only a free neighbour can become one.
+                        if deficit > (mq & free).bit_count():
+                            break
+                        if deficit > room:  # a larger cap might not cut here
+                            if not carry or carry[-1] != seed:
+                                carry.append(seed)
+                            break
+                        lacking.append(q)
+                else:
+                    if lacking:
+                        stack.append((grown, (ext | m) & ~grown & ~dead, dead, lacking))
+                    else:  # an alliance: any superset is larger
+                        found = sorted(v for v, q in index.items() if grown >> q & 1)
+                        key = (len(stack), tuple(found))
+                        if best is None or key < best:
+                            best, limit = key, key[0]
+                short.pop()
         if best is not None:
             return Witness(best[1])
-        if not partial or cap == k:
+        if not carry or cap == k:
             return None
-        cap = min(2 * cap, k)
+        seeds, cap = carry, min(2 * cap, k)

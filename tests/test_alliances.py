@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -238,11 +239,12 @@ def test_solve_da_searches_small_sizes_first():
     # C30 and the isolated vertex 30: the first cap is 1, so the search
     # skips every cycle seed and grows only {30}, where a search under the
     # full budget would walk the sets of seed 0 first.
+    # Each new set costs at least one popcount, so the calls count them.
     g = build_graph(31, [(i, (i + 1) % 30) for i in range(30)])
     calls = []
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "grow":
+        if event == "c_call" and arg.__name__ == "bit_count":
             calls.append(event)
 
     sys.setprofile(count)
@@ -369,13 +371,27 @@ def pendant_ring(n):
 
 
 def test_solve_da_deep_alliance():
-    g, leaves = pendant_ring(200)
-    assert solve_da(DAInstance(g, 200), leaves) == Witness(tuple(range(200)))
-    # The search recurses once per member: too deep a search is TooLarge,
-    # not a RecursionError.
-    g, leaves = pendant_ring(1100)
-    with pytest.raises(TooLarge, match="recursion limit"):
-        solve_da(DAInstance(g, 1100), leaves)
+    # The search keeps its own stack, so a witness may be deeper than the
+    # interpreter's recursion limit.
+    for n in (200, 1100, 5000):
+        g, leaves = pendant_ring(n)
+        assert solve_da(DAInstance(g, n), leaves) == Witness(tuple(range(n)))
+
+
+def test_solve_da_leaves_no_cycles():
+    # A search that kept a closure or a frame in a cycle would leave garbage
+    # for the collector on every call.
+    g = cycle(6)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in (1, 2, 3):
+            solve_da(DAInstance(g, k))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_solve_da_rejects_unknown_forbidden():

@@ -52,9 +52,9 @@ def test_solve(tmp_path, capsys):
     assert json.loads(out)["witness"] == [0, 1]
 
 
-def test_solve_too_deep_exits_2(tmp_path, capsys):
+def test_solve_deep_ring(tmp_path, capsys):
     # A ring of 1,100 vertices with two forbidden leaves each: the only
-    # alliance is the ring, deeper than the search can recurse.
+    # alliance is the ring, deeper than the interpreter's recursion limit.
     n = 1100
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, n + 2 * i + j) for i in range(n) for j in range(2)]
@@ -62,9 +62,7 @@ def test_solve_too_deep_exits_2(tmp_path, capsys):
     f.write_text(f"p da {3 * n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
     leaves = ",".join(map(str, range(n, 3 * n)))
     code, out, err = run(capsys, "solve", str(f), "--budget", str(n), "--forbidden", leaves)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "recursion limit" in err
-    assert "Traceback" not in err
+    assert code == 0 and "witness size=1100" in out and err == ""
 
 
 def test_reduce_and_certify_mrss(tmp_path, capsys):
