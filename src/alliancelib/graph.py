@@ -12,15 +12,23 @@ Every vertex is made by `add_family` (`add_vertex` and `add_vertices` call
 it without hosts): a run of fresh vertices, one per payload, of one kind and
 joined to the same hosts.  It checks each host (in range, not one of the new
 vertices, not repeated) before it touches the graph, so a failed call
-changes nothing, then joins the family to each host with set operations and
-gives each new vertex a copy of the host set, rather than one `add_edge` per
-edge.  A one-vertex family (the apex of a VC target, `t` and `t'` of an MRSS
-target, `a`, `b`, `c` of an RBDS target, each joined to thousands of
-pendants) is joined with one `set.add` per host, which costs about half a
-`set.update` with a one-element list; a larger family with one `set.update`
-per host.  Since ids follow creation order, a compiler must create its
-families in the order that numbers them; the order in which edges are added
-does not matter, as adjacency is a set and the writer sorts edges.
+changes nothing, then joins the family to each host with set operations
+rather than one `add_edge` per edge.  A family of nine or more vertices
+with hosts is a run of twins: its vertices hold one shared neighbour set,
+which records their id run [first, stop).  Hardness targets are almost all
+pendants (97.3 % or more of every harness `mrss` target), so this saves a
+set per pendant.  A join given as a `range` walks the graph run by run, not
+host by host, and adds to the shared set of each run it covers once; this
+is how a compiler joins a hub (`t`, `t'`, the VC apex, the RBDS helpers) to
+thousands of pendants.  Anything else that reaches a twin (a list join, a
+range over part of its run, or `add_edge` at it) first gives every holder
+of the run its own copy.  A shared set equals each holder's neighbourhood,
+so no reader tells twins apart; `clone` gives every vertex its own set.  A
+smaller family (a triangle, a 4-cycle, an apex), or one without hosts as
+the parsers make, gets one set per vertex.  Since ids follow creation
+order, a compiler must create its families in the order that numbers them;
+the order in which edges are added does not matter, as adjacency is a set
+and the writer sorts edges.
 """
 
 from __future__ import annotations
@@ -81,6 +89,28 @@ ORIGINAL = RoleTag(RoleKind.ORIGINAL)
 _KIND_BY_NAME = {kind.value: kind for kind in RoleKind}
 
 
+class _Shared(Exception):
+    """Raised by `add` on the neighbour set of a run of twins."""
+
+
+class _Twins(set):
+    """The one neighbour set of the twins with ids in [first, stop).  Its
+    `add` raises `_Shared`: an edge at one twin is not an edge at the others,
+    so `add_edge` gives the run private sets first."""
+
+    __slots__ = ("first", "stop")
+
+    def add(self, v: int) -> None:
+        raise _Shared
+
+
+# The fewest new vertices that share one set.  A smaller family saves too
+# little to pay for its run, and less still when an edge inside it follows
+# at once and splits it (a triangle, a 4-cycle).  On the harness cases a
+# cutoff of 5, 9 or 17 timed alike, while 2 left `ds-circle` slower.
+_MIN_TWINS = 9
+
+
 class Graph:
     """Finite simple undirected graph: no self-loops, no parallel edges."""
 
@@ -108,7 +138,12 @@ class Graph:
         are each read once, so either may be a generator.  Every host is
         checked, as `add_edge` would check its edges to the family, before
         the graph is touched, so a failed call leaves the graph as it was.
-        A single new vertex is joined to each host with `set.add`."""
+
+        Nine or more new vertices with hosts are twins: they hold one shared
+        neighbour set.  A join given as a `range` of existing ids skips the
+        per-host checks, which it cannot fail, and walks the graph run by
+        run, so a run of twins it covers takes the new ids in one step.  A
+        list join gives each twin among its hosts a set of its own first."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         payloads = list(payloads)
@@ -118,28 +153,66 @@ class Graph:
         ids = list(range(first, first + len(payloads)))
         if not ids:
             return ids
-        hosts: set[int] = set()
-        for host in join:
-            if not 0 <= host < first or host in hosts:
-                if first <= host < first + len(ids):
-                    raise SelfLoop(f"self-loop at {host}")
-                self._check_vertex(host)
-                raise DuplicateEdge(f"edge ({host},{first}) already present")
-            hosts.add(host)
-        if len(ids) == 1:
-            new = ids[0]
-            for host in hosts:
-                adj[host].add(new)
+        if type(join) is range and join.step == 1 and 0 <= join.start and join.stop <= first:
+            hosts = set(join)
+            self._join_run(join.start, join.stop, ids)
         else:
+            hosts = set()
+            for host in join:
+                if not 0 <= host < first or host in hosts:
+                    if first <= host < first + len(ids):
+                        raise SelfLoop(f"self-loop at {host}")
+                    self._check_vertex(host)
+                    raise DuplicateEdge(f"edge ({host},{first}) already present")
+                hosts.add(host)
             for host in hosts:
-                adj[host].update(ids)
-        # Each vertex but the last gets a copy of `hosts`, the last the set
-        # itself: one copy per vertex, and no empty set filled afterwards.
-        adj.extend(map(set, repeat(hosts, len(ids) - 1)))
-        adj.append(hosts)
+                nb = adj[host]
+                if type(nb) is not set:
+                    # Twins joined one by one get their own sets first.
+                    self._split(nb)
+                    nb = adj[host]
+                nb.update(ids)
+        if len(ids) == 1:
+            adj.append(hosts)
+        elif hosts and len(ids) >= _MIN_TWINS:
+            twins = _Twins(hosts)
+            twins.first, twins.stop = first, first + len(ids)
+            adj.extend(repeat(twins, len(ids)))
+        else:
+            # Each vertex but the last gets a copy of `hosts`, the last the
+            # set itself: one set per vertex, and no empty set filled later.
+            adj.extend(map(set, repeat(hosts, len(ids) - 1)))
+            adj.append(hosts)
         self._kinds.extend(repeat(kind, len(ids)))
         self._payloads.extend(payloads)
         return ids
+
+    def _join_run(self, start: int, stop: int, ids: list[int]) -> None:
+        """Add `ids` to the neighbour set of every vertex of [start, stop),
+        once per run of twins that lies inside it; a run that straddles
+        either end is split first."""
+        adj = self._adj
+        # A one-vertex family (a hub over thousands of pendants) joins with
+        # `set.add`, which costs about half a `set.update` with a one-element
+        # list.
+        grow, arg = (set.add, ids[0]) if len(ids) == 1 else (set.update, ids)
+        v = start
+        while v < stop:
+            nb = adj[v]
+            if type(nb) is set:
+                grow(nb, arg)
+                v += 1
+            elif start <= nb.first and nb.stop <= stop:
+                grow(nb, arg)
+                v = nb.stop
+            else:
+                self._split(nb)
+
+    def _split(self, twins: "_Twins") -> None:
+        """Give every holder of a run of twins its own copy of the set."""
+        adj = self._adj
+        for v in range(twins.first, twins.stop):
+            adj[v] = set(twins)
 
     def add_edge(self, u: int, v: int) -> None:
         if self._frozen:
@@ -151,11 +224,22 @@ class Graph:
         if not (0 <= u < n and 0 <= v < n):
             self._check_vertex(u)
             self._check_vertex(v)
-        if v in adj[u]:
+        nu = adj[u]
+        if v in nu:
             # Gadget builders must be edge-exact; a repeat is a bug upstream.
             raise DuplicateEdge(f"edge ({u},{v}) already present")
-        adj[u].add(v)
-        adj[v].add(u)
+        # Plain sets take the edge with no type check; a twin's shared set
+        # refuses it, so its run gets private sets and both ends are added
+        # again, which is harmless for an end that already took it.
+        try:
+            nu.add(v)
+            adj[v].add(u)
+        except _Shared:
+            for w in (u, v):
+                if type(adj[w]) is not set:
+                    self._split(adj[w])
+            adj[u].add(v)
+            adj[v].add(u)
 
     def freeze(self) -> "Graph":
         self._frozen = True
@@ -183,6 +267,9 @@ class Graph:
         return range(len(self._adj))
 
     def neighbors(self, v: int) -> set[int]:
+        """The neighbour set of v, to be read, not changed: twins share one
+        set object, and a later edit of the graph may give v a new one, so
+        the result need not track edits made after the call."""
         self._check_vertex(v)
         return self._adj[v]
 

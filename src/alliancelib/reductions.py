@@ -231,16 +231,17 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
 
     # Every square carries a pendant set; the pendants of squares_u, squares_f
     # and squares_h0 (the t side) drain into t, those of the H and a squares
-    # into t'.  The squares are listed in ascending id order.
+    # into t'.  The squares are listed in ascending id order, the t side
+    # first, so the pendants of each side take one id run.
     t_side = [x for sq in squares_u + squares_f + squares_h0 for x in sq]
+    first_pendant = g.n
     pendants = {
         x: g.add_family(RoleKind.PENDANT, [(x, j) for j in range(2 * budget + 2)], join=[x])
         for x in t_side + h_square + a_square
     }
-    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=(p for x in t_side for p in pendants[x]))
-    [t_prime] = g.add_family(
-        RoleKind.T_VERTEX, [1], join=(p for x in h_square + a_square for p in pendants[x])
-    )
+    t_prime_side = range(pendants[h_square[0]][0], g.n)
+    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=range(first_pendant, t_prime_side.start))
+    [t_prime] = g.add_family(RoleKind.T_VERTEX, [1], join=t_prime_side)
 
     g.freeze()
     gm = GadgetMap(
@@ -353,14 +354,19 @@ def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
     s0 = g.add_family(RoleKind.COPY_S0, range(ns))
     s1 = g.add_family(RoleKind.COPY_S1, range(ns))
 
+    first_blanket = g.n
     blanket = {
         host: g.add_family(RoleKind.PENDANT, [(host, j) for j in range(4 * ell)], join=[host])
         for host in t1 + t2
     }
-    blanketed = [p for pend in blanket.values() for p in pend]
-    [a] = g.add_family(RoleKind.APEX, ["a"], join=blanketed + t0 + s1)
-    [b] = g.add_family(RoleKind.APEX, ["b"], join=blanketed + t0)
+    blanketed = range(first_blanket, g.n)
+    # a also watches S1, the ns ids just before the blanket; a and b watch T0.
+    [a] = g.add_family(RoleKind.APEX, ["a"], join=range(first_blanket - ns, blanketed.stop))
+    [b] = g.add_family(RoleKind.APEX, ["b"], join=blanketed)
     [c] = g.add_family(RoleKind.APEX, ["c"], join=blanketed)
+    for apex in (a, b):
+        for v in t0:
+            g.add_edge(apex, v)
 
     for t, s in sorted(inst.edges):
         g.add_edge(t0[t], s0[s])
@@ -490,11 +496,14 @@ def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:
     # Five of the eight helpers F also watch every cycle vertex.
     fs = g.add_family(RoleKind.F_VERTEX, range(5), join=ys + [v for cyc in cycles for v in cyc])
     fs += g.add_family(RoleKind.F_VERTEX, range(5, 8), join=ys)
+    first_pendant = g.n
     vf = [
         g.add_family(RoleKind.PENDANT, [(fv, j) for j in range(4 * budget)], join=[fv])
         for fv in fs
     ]
-    [apex] = g.add_family(RoleKind.APEX, ["a"], join=(v for part in [xs, *vf] for v in part))
+    [apex] = g.add_family(RoleKind.APEX, ["a"], join=range(first_pendant, g.n))
+    for x in xs:
+        g.add_edge(apex, x)
 
     g.freeze()
     gm = GadgetMap(

@@ -137,6 +137,136 @@ def test_clone_is_independent():
     assert (g.n, [g.tag(v) for v in g.vertices()], [g.neighbors(v) for v in g.vertices()]) == before
 
 
+def _twins_graph():
+    """Hubs 0 and 1, then twins 2..13 on hub 0 and twins 14..22 on hubs 0 and 1."""
+    g = Graph()
+    g.add_vertices(2)
+    g.add_family(RoleKind.PENDANT, range(12), join=[0])
+    g.add_family(RoleKind.SQUARE, range(9), join=[0, 1])
+    return g
+
+
+def _neighbourhoods(g):
+    return [set(g.neighbors(v)) for v in g.vertices()]
+
+
+def _set_count(g, vertices):
+    return len({id(g.neighbors(v)) for v in vertices})
+
+
+def test_whole_run_join_grows_one_shared_set():
+    g = _twins_graph()
+    shared = g.neighbors(2)
+    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=range(2, 14))
+    assert all(g.neighbors(v) is shared for v in range(2, 14))
+    assert shared == {0, t} and g.neighbors(t) == set(range(2, 14))
+    assert g.neighbors(14) == {0, 1}
+    # The same hosts as a list: each twin gets a set of its own.
+    g = _twins_graph()
+    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=list(range(13, 1, -1)))
+    assert all(g.neighbors(v) == {0, t} for v in range(2, 14))
+    assert _set_count(g, range(2, 14)) == 12 and _set_count(g, range(14, 23)) == 1
+
+
+def test_partial_join_leaves_the_other_twins_unchanged():
+    # A range that straddles the end of one run and the start of the next,
+    # and a list that covers part of a run.
+    for join in (range(10, 17), [3, 15]):
+        g = _twins_graph()
+        before = _neighbourhoods(g)
+        ids = g.add_family(RoleKind.APEX, ["a", "b"], join=join)
+        for v in range(23):
+            assert g.neighbors(v) == (before[v] | set(ids) if v in join else before[v])
+        assert all(g.neighbors(v) == set(join) for v in ids)
+
+
+def test_add_edge_at_a_twin_leaves_the_other_twins_unchanged():
+    g = _twins_graph()
+    g.add_edge(3, 15)
+    assert g.neighbors(3) == {0, 15} and g.neighbors(15) == {0, 1, 3}
+    assert all(g.neighbors(v) == {0} for v in range(2, 14) if v != 3)
+    assert all(g.neighbors(v) == {0, 1} for v in range(14, 23) if v != 15)
+    g = _twins_graph()
+    g.add_edge(14, 22)  # two twins of one run
+    assert g.neighbors(14) == {0, 1, 22} and g.neighbors(22) == {0, 1, 14}
+    assert all(g.neighbors(v) == {0, 1} for v in range(15, 22))
+    assert all(g.neighbors(v) == {0} for v in range(2, 14))
+
+
+def test_clone_of_twins_is_independent():
+    g = _twins_graph()
+    before = _neighbourhoods(g)
+    h = g.clone()
+    assert h == g and _set_count(h, h.vertices()) == h.n
+    h.add_family(RoleKind.APEX, ["a"], join=range(2, 23))
+    h.add_edge(2, 14)
+    assert _neighbourhoods(g) == before
+
+
+def test_failed_add_family_leaves_twins_as_they_were():
+    # A range join fails as the list of its ids does, with the same error.
+    failures = [
+        (SelfLoop, "^self-loop at 23$", range(2, 24)),
+        (UnknownVertex, "^vertex -1 not in graph of order 23$", range(-1, 22)),
+        (UnknownVertex, "^vertex 40 not in graph of order 23$", [2, 14, 40]),
+        (DuplicateEdge, "^edge \\(14,23\\) already present$", [2, 14, 15, 14]),
+    ]
+    for error, message, join in failures:
+        for size in (1, 2, 9):
+            for hosts in (join, list(join)):
+                g = _twins_graph()
+                before = g.clone()
+                with pytest.raises(error, match=message):
+                    g.add_family(RoleKind.APEX, range(size), join=hosts)
+                assert g == before
+
+
+def test_pendant_family_holds_one_set():
+    g = Graph()
+    [hub] = g.add_family(RoleKind.SQUARE, ["s"])
+    pendants = g.add_family(RoleKind.PENDANT, range(500), join=[hub])
+    assert _set_count(g, pendants) == 1
+    assert g.neighbors(pendants[0]) == {hub} and g.neighbors(hub) == set(pendants)
+    assert g.m == 500
+
+
+def test_only_families_of_nine_or_more_share_a_set():
+    g = Graph()
+    [hub] = g.add_family(RoleKind.SQUARE, ["s"])
+    small = g.add_family(RoleKind.PENDANT, range(8), join=[hub])
+    large = g.add_family(RoleKind.PENDANT, range(9), join=[hub])
+    hostless = g.add_family(RoleKind.OTHER, range(9))
+    assert _set_count(g, small) == 8 and _set_count(g, large) == 1
+    assert _set_count(g, hostless) == 9
+
+
+def test_twins_match_private_sets():
+    # Random families on both sides of the size cutoff, range and list joins
+    # and edges, against a model with one set per vertex.
+    rng = random.Random(11)
+    for _ in range(200):
+        g, model = Graph(), []
+        for _ in range(rng.randint(1, 12)):
+            n = len(model)
+            if n >= 2 and rng.random() < 0.3:
+                u, v = rng.sample(range(n), 2)
+                if v not in model[u]:
+                    g.add_edge(u, v)
+                    model[u].add(v)
+                    model[v].add(u)
+                continue
+            lo = rng.randint(0, n)
+            hi = rng.randint(lo, n)
+            hosts = range(lo, hi)
+            if rng.random() < 0.5:
+                hosts = [h for h in hosts if rng.random() < 0.6]
+            ids = g.add_family(RoleKind.OTHER, range(rng.choice([1, 2, 8, 9, 12])), join=hosts)
+            for h in hosts:
+                model[h].update(ids)
+            model.extend(set(hosts) for _ in ids)
+        assert _neighbourhoods(g) == model
+
+
 def test_graphs_differing_in_one_payload_are_not_equal():
     a, b = Graph(), Graph()
     a.add_family(RoleKind.SQUARE, [("s", 0), ("s", 1)])
