@@ -11,6 +11,7 @@ diagram realizing it, and checks that the two agree edge-for-edge.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -22,7 +23,7 @@ from .errors import (
     TooLarge,
     reader,
 )
-from .graph import Graph, RoleKind, read_rows
+from .graph import Graph, Indexed, RoleKind, read_rows
 from .reductions import (
     GadgetMap,
     read_budget,
@@ -39,9 +40,9 @@ class ChordDiagram:
     labels: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        counts: dict[Label, int] = {}
-        for lab in self.labels:
-            counts[lab] = counts.get(lab, 0) + 1
+        # Counter counts in C and keeps first-occurrence order, so `bad`
+        # lists labels as they first appear.
+        counts = Counter(self.labels)
         bad = [lab for lab, c in counts.items() if c != 2]
         if bad:
             raise MalformedDiagram(f"labels must occur exactly twice: {bad[:5]}")
@@ -81,20 +82,15 @@ def crossing_pairs(seq: Sequence[Label]) -> Iterator[tuple[Label, Label]]:
             del active_lab[idx]
 
 
-def chord_ids(d: ChordDiagram) -> dict[Label, int]:
-    """Vertex id of each chord: rank in sorted label order.
-
-    Sorting (rather than first occurrence) makes the intersection graph
-    invariant under rotation and reversal of the endpoint sequence, and maps
-    an integer-labelled diagram onto exactly those integers.
-    """
-    return {lab: i for i, lab in enumerate(d.chords())}
-
-
 def intersection_graph(d: ChordDiagram) -> Graph:
-    ids = chord_ids(d)
+    """The intersection graph of `d`; each chord's vertex id is its rank in
+    sorted label order.  Sorting (rather than first occurrence) makes the
+    graph invariant under rotation and reversal of the endpoint sequence,
+    and maps an integer-labelled diagram onto exactly those integers."""
+    chords = d.chords()
+    ids = {lab: i for i, lab in enumerate(chords)}
     g = Graph()
-    g.add_family(RoleKind.ORIGINAL, d.chords())
+    g.add_family(RoleKind.ORIGINAL, chords)
     for a, b in crossing_pairs(d.labels):
         g.add_edge(ids[a], ids[b])
     return g.freeze()
@@ -169,7 +165,7 @@ def ds_to_daf(
 
     fans = {
         lab: [
-            g.add_family(kind, [(lab, i) for i in range(m_per_fan)], join=twins[lab])
+            g.add_family(kind, Indexed((lab,), m_per_fan), join=twins[lab])
             for kind in (RoleKind.X_SET, RoleKind.Y_SET)
         ]
         for lab in labels
@@ -222,7 +218,7 @@ def ds_to_daf(
     pendant_counts += [(z, 6) for lab in labels for fan in fans[lab] for z in fan]
     pendant_counts += [(v, 4 * n + 3) for lab in labels for v in twins[lab]]
     pend_of = {
-        host: g.add_family(RoleKind.FORBIDDEN, [(host, j) for j in range(count)], join=[host])
+        host: g.add_family(RoleKind.FORBIDDEN, Indexed((host,), count), join=[host])
         for host, count in pendant_counts
     }
     forbidden = [p for pend in pend_of.values() for p in pend]

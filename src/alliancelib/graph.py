@@ -5,8 +5,15 @@ which keeps every downstream construction a pure function of its input.
 Adjacency is a list of sets; a graph is mutable while it is being built and
 is frozen by the code that finishes it, after which any mutation raises.
 Roles are two flat lists indexed by vertex, the kinds and the payloads;
-`tag(v)` builds the `RoleTag(kind, payload)` view of one vertex on demand,
-so construction makes no object per vertex beyond its neighbour set.
+`tag(v)` builds the `RoleTag(kind, payload)` view of one vertex on demand.
+A family whose payloads are `(*prefix, 0) ... (*prefix, count - 1)` is
+declared as `Indexed(prefix, count)`: all its vertices then hold one
+immutable run record `(prefix, first)`, as they hold one kind, and
+`tag(v)` returns `(*prefix, v - first)`.  Graphs compare by these resolved
+payloads, and `clone` shares the records.  The compilers declare their
+pendant, blanket, square, hub, fan and guard families so, and a pendant
+then holds neither a payload tuple nor (as a twin, below) a neighbour set
+of its own.
 
 Every vertex is made by `add_family` (`add_vertex` and `add_vertices` call
 it without hosts): a run of fresh vertices, one per payload, of one kind and
@@ -38,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     AllianceError,
@@ -89,6 +96,24 @@ ORIGINAL = RoleTag(RoleKind.ORIGINAL)
 _KIND_BY_NAME = {kind.value: kind for kind in RoleKind}
 
 
+# Both are NamedTuples: a `ds-circle` compile makes thousands of them, and a
+# frozen dataclass took about twice as long to build.
+class Indexed(NamedTuple):
+    """The payloads `(*prefix, 0) ... (*prefix, count - 1)` of a family, in
+    order, declared to `add_family` without building one tuple per vertex."""
+
+    prefix: tuple
+    count: int
+
+
+class _Run(NamedTuple):
+    """The one payload record of every vertex of an `Indexed` family whose
+    first id is `first`: vertex v's payload is `(*prefix, v - first)`."""
+
+    prefix: tuple
+    first: int
+
+
 class _Shared(Exception):
     """Raised by `add` on the neighbour set of a run of twins."""
 
@@ -131,13 +156,15 @@ class Graph:
         return self.add_family(tag.kind, repeat(tag.payload, count))
 
     def add_family(
-        self, kind: RoleKind, payloads: Iterable[object], join: Iterable[int] = ()
+        self, kind: RoleKind, payloads: Iterable[object] | Indexed, join: Iterable[int] = ()
     ) -> list[int]:
         """One fresh vertex of role `kind` per payload, in order, each joined
         to every vertex of `join`; returns the new ids.  `payloads` and `join`
-        are each read once, so either may be a generator.  Every host is
-        checked, as `add_edge` would check its edges to the family, before
-        the graph is touched, so a failed call leaves the graph as it was.
+        are each read once, so either may be a generator; an `Indexed`
+        payload run is stored as one record that all its vertices share.
+        Every host is checked, as `add_edge` would check its edges to the
+        family, before the graph is touched, so a failed call leaves the
+        graph as it was.
 
         Nine or more new vertices with hosts are twins: they hold one shared
         neighbour set.  A join given as a `range` of existing ids skips the
@@ -146,11 +173,15 @@ class Graph:
         list join gives each twin among its hosts a set of its own first."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
-        payloads = list(payloads)
+        if type(payloads) is Indexed:
+            prefix, count = payloads
+        else:
+            payloads = list(payloads)
+            prefix, count = None, len(payloads)
         adj = self._adj
         first = len(adj)
         # One list of ids: every neighbour set then holds the same int objects.
-        ids = list(range(first, first + len(payloads)))
+        ids = list(range(first, first + count))
         if not ids:
             return ids
         if type(join) is range and join.step == 1 and 0 <= join.start and join.stop <= first:
@@ -184,7 +215,10 @@ class Graph:
             adj.extend(map(set, repeat(hosts, len(ids) - 1)))
             adj.append(hosts)
         self._kinds.extend(repeat(kind, len(ids)))
-        self._payloads.extend(payloads)
+        if prefix is None:
+            self._payloads.extend(payloads)
+        else:
+            self._payloads.extend(repeat(_Run(prefix, first), len(ids)))
         return ids
 
     def _join_run(self, start: int, stop: int, ids: list[int]) -> None:
@@ -246,7 +280,8 @@ class Graph:
         return self
 
     def clone(self) -> "Graph":
-        """Unfrozen deep copy, for constructions extending an existing graph."""
+        """Unfrozen deep copy, for constructions extending an existing graph;
+        it shares the payload objects, run records included."""
         g = Graph()
         g._adj = [set(nb) for nb in self._adj]
         g._kinds = list(self._kinds)
@@ -279,7 +314,13 @@ class Graph:
 
     def tag(self, v: int) -> RoleTag:
         self._check_vertex(v)
-        return RoleTag(self._kinds[v], self._payloads[v])
+        return RoleTag(self._kinds[v], self._payload(v))
+
+    def _payload(self, v: int) -> object:
+        payload = self._payloads[v]
+        if type(payload) is _Run:
+            return (*payload.prefix, v - payload.first)
+        return payload
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
@@ -301,10 +342,12 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
+        # Payloads compare as `tag` gives them: a run equals its tuples.
         return (
             self._adj == other._adj
             and self._kinds == other._kinds
-            and self._payloads == other._payloads
+            and list(map(self._payload, self.vertices()))
+            == list(map(other._payload, other.vertices()))
         )
 
     def __repr__(self) -> str:

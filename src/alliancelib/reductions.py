@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance, first_subset
 from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, reader
-from .graph import Graph, RoleKind, parse_graph, read_rows, write_graph
+from .graph import Graph, Indexed, RoleKind, _Run, parse_graph, read_rows, write_graph
 
 
 def _json(obj: object, depth: int) -> str:
@@ -81,17 +81,29 @@ class GadgetMap:
         heads = {
             role: f'": {{\n   "kind": {_quote(role.value)},\n   "payload": ' for role in RoleKind
         }
+        # The text of a run's vertex up to its last payload entry, v - first,
+        # cached by the run's first id: a list is written one item per line,
+        # so the prefix reads the same for every vertex of the run.
+        run_heads: dict[int, str] = {}
         families, kind = _json(self.families, 1), _json(self.kind, 1)
         out = [f'{{\n "families": {families},\n "kind": {kind},\n "roles": ']
         sep = '{\n  "'
         for v in sorted(range(len(kinds)), key=str):
             payload = payloads[v]
-            # Most payloads are flat int tuples: write them without a call.
-            if type(payload) is tuple and payload and all(type(x) is int for x in payload):
-                text = "[\n    " + ",\n    ".join(map(int.__repr__, payload)) + "\n   ]"
+            if type(payload) is _Run:
+                prefix, first = payload
+                head = run_heads.get(first)
+                if head is None:
+                    items = "".join([f"{_json(x, 4)},\n    " for x in prefix])
+                    head = run_heads[first] = f"{heads[kinds[v]]}[\n    {items}"
+                out.append(f"{sep}{v}{head}{v - first}\n   ]")
             else:
-                text = _json(payload, 3)
-            out.append(f"{sep}{v}{heads[kinds[v]]}{text}")
+                # Most other payloads are flat int tuples: write them without a call.
+                if type(payload) is tuple and payload and all(type(x) is int for x in payload):
+                    text = "[\n    " + ",\n    ".join(map(int.__repr__, payload)) + "\n   ]"
+                else:
+                    text = _json(payload, 3)
+                out.append(f"{sep}{v}{heads[kinds[v]]}{text}")
             sep = '\n  },\n  "'
         out.append("\n  }\n }\n}\n" if kinds else "{}\n}\n")
         return "".join(out)
@@ -172,12 +184,12 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
         col = sum(s[i] for s in vecs)
         size = col + 2 * big_n - 2 * (col - target[i])
         squares_u.append(
-            g.add_family(RoleKind.SQUARE, [("u", i, j) for j in range(size)], join=[u[i]])
+            g.add_family(RoleKind.SQUARE, Indexed(("u", i), size), join=[u[i]])
         )
 
     f = g.add_family(RoleKind.F_VERTEX, range(3))
     squares_f = [
-        g.add_family(RoleKind.SQUARE, [("f", i, j) for j in range(2 * big_n)], join=[f[i]])
+        g.add_family(RoleKind.SQUARE, Indexed(("f", i), 2 * big_n), join=[f[i]])
         for i in range(3)
     ]
 
@@ -188,16 +200,16 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     hub_h0: list[int] = []
     squares_h0: list[list[int]] = []
     for p, pair in enumerate(pairs):
-        hs = g.add_family(RoleKind.HUB_H, [(p, j) for j in range(big_n)], join=pair)
+        hs = g.add_family(RoleKind.HUB_H, Indexed((p,), big_n), join=pair)
         [h0] = g.add_family(RoleKind.HUB_H0, [p], join=hs)
         squares_h0.append(
-            g.add_family(RoleKind.SQUARE, [("h0", p, j) for j in range(big_n)], join=[h0])
+            g.add_family(RoleKind.SQUARE, Indexed(("h0", p), big_n), join=[h0])
         )
         hub_h.append(hs)
         hub_h0.append(h0)
 
     h_square = g.add_family(
-        RoleKind.SQUARE, [("H", j) for j in range(3)], join=(h for hs in hub_h for h in hs)
+        RoleKind.SQUARE, Indexed(("H",), 3), join=(h for hs in hub_h for h in hs)
     )
 
     x_center: list[int] = []
@@ -207,9 +219,9 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     for si, s in enumerate(vecs):
         width = max(s) + 1
         [xc] = g.add_family(RoleKind.STAR_CENTER, [("x", si)])
-        al = g.add_family(RoleKind.STAR_LEAF_A, [(si, j) for j in range(width)], join=[xc, *f])
+        al = g.add_family(RoleKind.STAR_LEAF_A, Indexed((si,), width), join=[xc, *f])
         [yc] = g.add_family(RoleKind.STAR_CENTER, [("y", si)])
-        bl = g.add_family(RoleKind.STAR_LEAF_B, [(si, j) for j in range(width)], join=[yc, *f])
+        bl = g.add_family(RoleKind.STAR_LEAF_B, Indexed((si,), width), join=[yc, *f])
         for i in range(k):
             for j in range(s[i]):  # the s(i) lowest-index leaves
                 g.add_edge(u[i], al[j])
@@ -236,7 +248,7 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     t_side = [x for sq in squares_u + squares_f + squares_h0 for x in sq]
     first_pendant = g.n
     pendants = {
-        x: g.add_family(RoleKind.PENDANT, [(x, j) for j in range(2 * budget + 2)], join=[x])
+        x: g.add_family(RoleKind.PENDANT, Indexed((x,), 2 * budget + 2), join=[x])
         for x in t_side + h_square + a_square
     }
     t_prime_side = range(pendants[h_square[0]][0], g.n)
@@ -356,7 +368,7 @@ def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
 
     first_blanket = g.n
     blanket = {
-        host: g.add_family(RoleKind.PENDANT, [(host, j) for j in range(4 * ell)], join=[host])
+        host: g.add_family(RoleKind.PENDANT, Indexed((host,), 4 * ell), join=[host])
         for host in t1 + t2
     }
     blanketed = range(first_blanket, g.n)
@@ -498,7 +510,7 @@ def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:
     fs += g.add_family(RoleKind.F_VERTEX, range(5, 8), join=ys)
     first_pendant = g.n
     vf = [
-        g.add_family(RoleKind.PENDANT, [(fv, j) for j in range(4 * budget)], join=[fv])
+        g.add_family(RoleKind.PENDANT, Indexed((fv,), 4 * budget), join=[fv])
         for fv in fs
     ]
     [apex] = g.add_family(RoleKind.APEX, ["a"], join=range(first_pendant, g.n))
@@ -551,7 +563,7 @@ def daf_to_da(inst: DAFInstance) -> tuple[DAInstance, GadgetMap]:
     for x in sorted(inst.forbidden):
         [mirrors[x]] = g.add_family(RoleKind.OTHER, [("mirror", x)])
         guards[x] = g.add_family(
-            RoleKind.SQUARE, [("guard", x, j) for j in range(2 * inst.r)], join=[x, mirrors[x]]
+            RoleKind.SQUARE, Indexed(("guard", x), 2 * inst.r), join=[x, mirrors[x]]
         )
     g.freeze()
     gm = GadgetMap(

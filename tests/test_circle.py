@@ -38,6 +38,14 @@ def test_diagram_validation():
         ChordDiagram(("a", "a", "a", "a"))
 
 
+def test_diagram_validation_names_the_first_five_bad_labels():
+    # In order of first occurrence, not sorted; "e" (twice) and "g" are fine.
+    labels = ("f", "e", "d", "c", "b", "a", "g", "g", "h", "h", "h", "e")
+    with pytest.raises(MalformedDiagram) as exc:
+        ChordDiagram(labels)
+    assert str(exc.value) == "labels must occur exactly twice: ['f', 'd', 'c', 'b', 'a']"
+
+
 def test_intersection_graph_examples():
     g = intersection_graph(K3_DIAGRAM)
     assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import GOLDEN_REDUCE
 
-from alliancelib.graph import Graph, RoleKind, RoleTag
+from alliancelib.graph import Graph, Indexed, RoleKind, RoleTag
 from alliancelib.harness import DEFAULT_MAX_N
 from alliancelib.kinds import REDUCTIONS
 from alliancelib.reductions import GadgetMap
@@ -62,13 +62,18 @@ FAMILIES = st.dictionaries(
 PAYLOADS = st.recursive(
     SCALARS, lambda c: sequences(c) | st.dictionaries(TEXT, c, max_size=3), max_leaves=8
 )
-ROLES = st.lists(st.tuples(st.sampled_from(list(RoleKind)), PAYLOADS), max_size=24)
+# A role is one vertex with its payload, or a family declared as a run.
+RUNS = st.builds(Indexed, st.lists(PAYLOADS, max_size=3).map(tuple), st.integers(0, 12))
+ROLES = st.lists(st.tuples(st.sampled_from(list(RoleKind)), PAYLOADS | RUNS), max_size=24)
 
 
 def gadget_map(kind: str, roles: list, families: dict) -> GadgetMap:
     g = Graph()
     for role, payload in roles:
-        g.add_vertex(RoleTag(role, payload))
+        if type(payload) is Indexed:
+            g.add_family(role, payload)
+        else:
+            g.add_vertex(RoleTag(role, payload))
     return GadgetMap(kind, g, families)
 
 
@@ -77,6 +82,7 @@ def gadget_map(kind: str, roles: list, families: dict) -> GadgetMap:
 @example("mrss", [], {})
 @example("x", [(RoleKind.OTHER, ("x", (1, 2), []))] * 12, {1: "int", "1": "str", (): 0})
 @example("y", [(RoleKind.PENDANT, (-3, True, 0))], {"d": {2: [], "10": {}, "2": [[]]}})
+@example("z", [(RoleKind.SQUARE, Indexed(("u", 1.5, True, [], ()), 11))], {})
 def test_to_json_matches_json_dumps(kind, roles, families):
     gm = gadget_map(kind, roles, families)
     assert gm.to_json() == reference_json(gm)

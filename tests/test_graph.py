@@ -6,6 +6,7 @@ import pytest
 from alliancelib.errors import DuplicateEdge, FrozenGraph, ParseError, SelfLoop, UnknownVertex
 from alliancelib.graph import (
     Graph,
+    Indexed,
     RoleKind,
     RoleTag,
     build_graph,
@@ -276,6 +277,107 @@ def test_graphs_differing_in_one_payload_are_not_equal():
     b = Graph()
     b.add_family(RoleKind.SQUARE, [("s", 0), ("s", 1)])
     assert a == b
+
+
+def _run_graph(explicit):
+    """Hub 0, then three families whose payloads count up from 0 after a
+    prefix (int, str, empty), each as an `Indexed` run or explicit tuples."""
+
+    def payloads(prefix, count):
+        return [(*prefix, j) for j in range(count)] if explicit else Indexed(prefix, count)
+
+    g = Graph()
+    g.add_vertex()
+    g.add_family(RoleKind.PENDANT, payloads((0, 7), 12), join=[0])
+    g.add_family(RoleKind.SQUARE, payloads(("u", 1), 3), join=range(1, 4))
+    g.add_family(RoleKind.HUB_H, payloads((), 2))
+    return g
+
+
+def test_tag_over_a_run_is_the_explicit_tuple():
+    g = _run_graph(explicit=False)
+    assert [g.tag(v) for v in range(1, 18)] == (
+        [RoleTag(RoleKind.PENDANT, (0, 7, j)) for j in range(12)]
+        + [RoleTag(RoleKind.SQUARE, ("u", 1, j)) for j in range(3)]
+        + [RoleTag(RoleKind.HUB_H, (j,)) for j in range(2)]
+    )
+    assert g.add_family(RoleKind.PENDANT, Indexed((5,), 0), join=[0]) == []
+    assert g.n == 18 and g.degree(0) == 12
+    assert g.add_vertex(RoleTag(RoleKind.APEX, "a")) == 18 and g.tag(18).payload == "a"
+
+
+def test_run_built_graph_equals_tuple_built_graph():
+    g, h = _run_graph(explicit=False), _run_graph(explicit=True)
+    assert g == h and h == g
+    assert write_graph(g.freeze()) == write_graph(h.freeze())
+    # One entry off in the last run is a different graph.
+    h = Graph()
+    h.add_vertex()
+    h.add_family(RoleKind.PENDANT, [(0, 7, j) for j in range(12)], join=[0])
+    h.add_family(RoleKind.SQUARE, [("u", 1, j) for j in range(3)], join=range(1, 4))
+    h.add_family(RoleKind.HUB_H, [(0,), (2,)])
+    assert g != h
+
+
+def test_clone_of_a_run_graph_is_independent():
+    g = _run_graph(explicit=False).freeze()
+    before = [g.tag(v) for v in g.vertices()]
+    h = g.clone()
+    assert h == g
+    h.add_family(RoleKind.PENDANT, Indexed(("x",), 10), join=[0])
+    h.add_edge(1, 2)
+    assert [h.tag(v).payload for v in range(18, 28)] == [("x", j) for j in range(10)]
+    assert [g.tag(v) for v in g.vertices()] == before and g.n == 18
+    assert g == _run_graph(explicit=False) and h != g
+
+
+def test_failed_add_family_with_a_run_leaves_the_graph_as_it_was():
+    for count in (1, 2, 9):
+        for join in ([0, 40], [0, 0], range(0, 19), (v for v in [3, 18])):
+            g = _run_graph(explicit=False)
+            before = g.clone()
+            with pytest.raises((UnknownVertex, DuplicateEdge, SelfLoop)):
+                g.add_family(RoleKind.SQUARE, Indexed(("s",), count), join=join)
+            assert g == before
+            # The next family numbers its payloads from its own first id.
+            assert g.add_family(RoleKind.OTHER, Indexed((9,), 2)) == [18, 19]
+            assert [g.tag(v).payload for v in (17, 18, 19)] == [(1,), (9, 0), (9, 1)]
+
+
+def test_runs_match_one_payload_per_vertex():
+    # Random run and explicit families, edges and failing calls, against a
+    # model that holds one payload per vertex.
+    rng = random.Random(19)
+    for _ in range(200):
+        g, model = Graph(), []
+        for _ in range(rng.randint(1, 10)):
+            n = len(model)
+            if n >= 2 and rng.random() < 0.2:
+                u, v = rng.sample(range(n), 2)
+                if v not in g.neighbors(u):
+                    g.add_edge(u, v)
+                continue
+            prefix = tuple(rng.choice([0, 3, "p", -2]) for _ in range(rng.randint(0, 2)))
+            count = rng.choice([0, 1, 2, 8, 9, 12])
+            explicit = [(*prefix, j) for j in range(count)]
+            payloads = explicit if rng.random() < 0.3 else Indexed(prefix, count)
+            lo = rng.randint(0, n)
+            hosts = range(lo, rng.randint(lo, n))
+            if rng.random() < 0.2:
+                hosts = [*hosts, rng.choice([-1, n + count, lo])]  # may fail
+            try:
+                ids = g.add_family(RoleKind.OTHER, payloads, join=hosts)
+            except (UnknownVertex, DuplicateEdge, SelfLoop):
+                continue
+            assert ids == list(range(n, n + count))
+            model.extend(explicit)
+        assert [g.tag(v).payload for v in g.vertices()] == model
+        ref = Graph()
+        for v, payload in enumerate(model):
+            ref.add_vertex(RoleTag(RoleKind.OTHER, payload))
+        for u, v in g.edges():
+            ref.add_edge(u, v)
+        assert g == ref and g.clone() == ref
 
 
 def test_deg_in():
