@@ -147,7 +147,7 @@ def brute_force_min_da(
         work = sum(comb(len(pool), size) for size in range(1, top + 1))
         if work > _ORACLE_WORK_LIMIT:
             raise TooLarge(f"capped brute force would enumerate {work} subsets")
-    adj = g._adj
+    adj = g.adjacency()
     found = first_subset(pool, top, lambda chosen: bool(chosen) and all(
         2 * len(adj[v] & chosen) + 1 >= len(adj[v]) for v in chosen
     ))
@@ -162,7 +162,7 @@ def candidate_filter(g: Graph, k: int) -> frozenset[int]:
     vertex of higher degree is impossible and any search may discard it.
     """
     limit = 2 * k - 1
-    return frozenset([v for v, nb in enumerate(g._adj) if len(nb) <= limit])
+    return frozenset([v for v, nb in enumerate(g.adjacency()) if len(nb) <= limit])
 
 
 def kernel(g: Graph, k: int, forbidden: Iterable[int] = ()) -> frozenset[int]:
@@ -178,7 +178,7 @@ def kernel(g: Graph, k: int, forbidden: Iterable[int] = ()) -> frozenset[int]:
     """
     banned = frozenset(forbidden)
     _check_ids(g, banned)
-    adj = g._adj
+    adj = g.adjacency()
     inside = set(candidate_filter(g, k) - banned)
     # spare[v]: neighbours in the kernel beyond the deg(v) // 2 that v needs.
     spare = {v: len(adj[v] & inside) - len(adj[v]) // 2 for v in inside}
@@ -232,7 +232,7 @@ def solve_da(inst: DAInstance, forbidden: Iterable[int] = ()) -> Witness | None:
     allowed = kernel(g, k, forbidden)
     if not allowed:
         return None
-    adj = g._adj
+    adj = g.adjacency()
     best: tuple[int, tuple[int, ...]] | None = None
     seeds = sorted(allowed)
     # The kernel keeps only vertices with deg // 2 <= k - 1, so cap <= k.

@@ -266,7 +266,7 @@ def ds_to_daf(
 
     # The sweep yields each crossing once and neither side has a self-pair,
     # so the crossings that are edges number pairs - extra.
-    adj = g._adj
+    adj = g.adjacency()
     pairs = extra = 0
     for a, b in crossing_pairs(diagram.labels):
         pairs += 1

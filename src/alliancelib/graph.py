@@ -27,15 +27,29 @@ pendants (97.3 % or more of every harness `mrss` target), so this saves a
 set per pendant.  A join given as a `range` walks the graph run by run, not
 host by host, and adds to the shared set of each run it covers once; this
 is how a compiler joins a hub (`t`, `t'`, the VC apex, the RBDS helpers) to
-thousands of pendants.  Anything else that reaches a twin (a list join, a
-range over part of its run, or `add_edge` at it) first gives every holder
-of the run its own copy.  A shared set equals each holder's neighbourhood,
-so no reader tells twins apart; `clone` gives every vertex its own set.  A
-smaller family (a triangle, a 4-cycle, an apex), or one without hosts as
-the parsers make, gets one set per vertex.  Since ids follow creation
-order, a compiler must create its families in the order that numbers them;
-the order in which edges are added does not matter, as adjacency is a set
-and the writer sorts edges.
+thousands of pendants.  Anything else that adds to a twin's own set (a list
+join, a range over part of its run, or `add_edge` at it) first gives every
+holder of the run its own copy.  A shared set equals each holder's
+neighbourhood, so no reader tells twins apart; `clone` gives every vertex
+its own set.  A smaller family (a triangle, a 4-cycle, an apex), or one
+without hosts as the parsers make, gets one set per vertex.  Since ids
+follow creation order, a compiler must create its families in the order
+that numbers them; the order in which edges are added does not matter, as
+adjacency is a set and the writer sorts edges.
+
+A join to a large family is *owed*: a host listed for a family of nine or
+more does not take the family's ids into its own set, and a one-vertex
+family joined to a `range` of nine or more hosts (a hub) starts with an
+empty set; each records the id run it owes instead.  The other end of every
+owed edge holds it, so `add_edge` finds a repeat of one without filling a
+set, and `degree` and `m` count owed runs by length.  An owed join is paid
+on first read: `neighbors` and `deg_in` fill one vertex's set (a twin's run
+is split first, as what it owes is its own), and `adjacency()`, the one
+accessor for readers of the whole graph (`edges`, `==`, `clone`, the writer,
+the star-forest check, the solvers and the circle self-check), fills every
+set.  The harness's forward check reads only the certificate members' sets,
+and no member hosts a pendant, so a harness target never fills the sets of
+its squares or of `t` and `t'`.
 """
 
 from __future__ import annotations
@@ -129,20 +143,23 @@ class _Twins(set):
         raise _Shared
 
 
-# The fewest new vertices that share one set.  A smaller family saves too
-# little to pay for its run, and less still when an edge inside it follows
-# at once and splits it (a triangle, a 4-cycle).  On the harness cases a
-# cutoff of 5, 9 or 17 timed alike, while 2 left `ds-circle` slower.
+# The fewest new vertices that share one set and whose hosts owe their
+# join, and the fewest hosts a one-vertex range join owes.  A smaller family
+# saves too little to pay for its run, and less still when an edge inside it
+# follows at once and splits it (a triangle, a 4-cycle).  On the harness
+# cases a cutoff of 5, 9 or 17 timed alike, while 2 left `ds-circle` slower.
 _MIN_TWINS = 9
 
 
 class Graph:
     """Finite simple undirected graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("_adj", "_kinds", "_payloads", "_frozen")
+    __slots__ = ("_adj", "_owed", "_kinds", "_payloads", "_frozen")
 
     def __init__(self) -> None:
         self._adj: list[set[int]] = []
+        # v -> the id runs v is adjacent to but whose ids no set of v holds.
+        self._owed: dict[int, tuple[range, ...]] = {}
         self._kinds: list[RoleKind] = []
         self._payloads: list[object] = []
         self._frozen = False
@@ -164,13 +181,16 @@ class Graph:
         payload run is stored as one record that all its vertices share.
         Every host is checked, as `add_edge` would check its edges to the
         family, before the graph is touched, so a failed call leaves the
-        graph as it was.
+        graph, owed joins included, as it was.
 
         Nine or more new vertices with hosts are twins: they hold one shared
-        neighbour set.  A join given as a `range` of existing ids skips the
-        per-host checks, which it cannot fail, and walks the graph run by
-        run, so a run of twins it covers takes the new ids in one step.  A
-        list join gives each twin among its hosts a set of its own first."""
+        neighbour set, and a host given in a list owes their id run instead
+        of taking it into its own set.  A join given as a `range` of existing
+        ids skips the per-host checks, which it cannot fail, and walks the
+        graph run by run, so a run of twins it covers takes the new ids in
+        one step; one new vertex joined so to nine or more hosts gets an
+        empty set and owes the range.  A list join that adds ids to a twin's
+        own set gives the twin a set of its own first."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         if type(payloads) is Indexed:
@@ -185,8 +205,13 @@ class Graph:
         if not ids:
             return ids
         if type(join) is range and join.step == 1 and 0 <= join.start and join.stop <= first:
-            hosts = set(join)
             self._join_run(join.start, join.stop, ids)
+            if len(ids) == 1 and len(join) >= _MIN_TWINS:
+                # A hub over a range starts empty and owes the range.
+                hosts = set()
+                self._owe(first, join)
+            else:
+                hosts = set(join)
         else:
             hosts = set()
             for host in join:
@@ -196,13 +221,18 @@ class Graph:
                     self._check_vertex(host)
                     raise DuplicateEdge(f"edge ({host},{first}) already present")
                 hosts.add(host)
-            for host in hosts:
-                nb = adj[host]
-                if type(nb) is not set:
-                    # Twins joined one by one get their own sets first.
-                    self._split(nb)
+            if len(ids) >= _MIN_TWINS:
+                run = range(first, first + len(ids))
+                for host in hosts:
+                    self._owe(host, run)
+            else:
+                for host in hosts:
                     nb = adj[host]
-                nb.update(ids)
+                    if type(nb) is not set:
+                        # Twins joined one by one get their own sets first.
+                        self._split(nb)
+                        nb = adj[host]
+                    nb.update(ids)
         if len(ids) == 1:
             adj.append(hosts)
         elif hosts and len(ids) >= _MIN_TWINS:
@@ -220,6 +250,23 @@ class Graph:
         else:
             self._payloads.extend(repeat(_Run(prefix, first), len(ids)))
         return ids
+
+    def _owe(self, v: int, run: range) -> None:
+        """Record that v is adjacent to every id of `run`, which no set of
+        v holds; the other end of each of those edges holds it."""
+        owed = self._owed
+        owed[v] = owed.get(v, ()) + (run,)
+
+    def _settle(self, v: int) -> set[int]:
+        """Pay every join v owes into v's set, and return the set.  A twin's
+        run is split first: what v owes is v's alone."""
+        adj = self._adj
+        if type(adj[v]) is not set:
+            self._split(adj[v])
+        nb = adj[v]
+        for run in self._owed.pop(v):
+            nb.update(run)
+        return nb
 
     def _join_run(self, start: int, stop: int, ids: list[int]) -> None:
         """Add `ids` to the neighbour set of every vertex of [start, stop),
@@ -258,8 +305,10 @@ class Graph:
         if not (0 <= u < n and 0 <= v < n):
             self._check_vertex(u)
             self._check_vertex(v)
-        nu = adj[u]
-        if v in nu:
+        nu, nv = adj[u], adj[v]
+        # An owed edge is held by the set at its other end, so testing both
+        # ends finds it without filling the owing end's set.
+        if v in nu or u in nv:
             # Gadget builders must be edge-exact; a repeat is a bug upstream.
             raise DuplicateEdge(f"edge ({u},{v}) already present")
         # Plain sets take the edge with no type check; a twin's shared set
@@ -267,7 +316,7 @@ class Graph:
         # again, which is harmless for an end that already took it.
         try:
             nu.add(v)
-            adj[v].add(u)
+            nv.add(u)
         except _Shared:
             for w in (u, v):
                 if type(adj[w]) is not set:
@@ -283,7 +332,7 @@ class Graph:
         """Unfrozen deep copy, for constructions extending an existing graph;
         it shares the payload objects, run records included."""
         g = Graph()
-        g._adj = [set(nb) for nb in self._adj]
+        g._adj = [set(nb) for nb in self.adjacency()]
         g._kinds = list(self._kinds)
         g._payloads = list(self._payloads)
         return g
@@ -296,7 +345,8 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(map(len, self._adj)) // 2
+        owed = sum([len(run) for runs in self._owed.values() for run in runs])
+        return (sum(map(len, self._adj)) + owed) // 2
 
     def vertices(self) -> range:
         return range(len(self._adj))
@@ -304,13 +354,27 @@ class Graph:
     def neighbors(self, v: int) -> set[int]:
         """The neighbour set of v, to be read, not changed: twins share one
         set object, and a later edit of the graph may give v a new one, so
-        the result need not track edits made after the call."""
+        the result need not track edits made after the call.  The joins v
+        owes are paid into v's set first; no other vertex's set is filled."""
         self._check_vertex(v)
+        if v in self._owed:
+            return self._settle(v)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
+        """|N(v)|, counting the joins v owes without filling its set."""
         self._check_vertex(v)
+        if v in self._owed:
+            return len(self._adj[v]) + sum(map(len, self._owed[v]))
         return len(self._adj[v])
+
+    def adjacency(self) -> list[set[int]]:
+        """The neighbour set of every vertex, indexed by id, to be read, not
+        changed, for a reader of the whole graph: every owed join is paid
+        first.  Twins may share one set object."""
+        for v in list(self._owed):
+            self._settle(v)
+        return self._adj
 
     def tag(self, v: int) -> RoleTag:
         self._check_vertex(v)
@@ -324,16 +388,15 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
-        for u, nb in enumerate(self._adj):
+        for u, nb in enumerate(self.adjacency()):
             for v in sorted(nb):
                 if u < v:
                     yield (u, v)
 
     def deg_in(self, v: int, s: Iterable[int]) -> int:
         """|N(v) ∩ s|; v's own membership in s is never counted."""
-        self._check_vertex(v)
-        ss = s if isinstance(s, (set, frozenset)) else set(s)
-        return len(self._adj[v] & ss)
+        nb = self.neighbors(v)
+        return len(nb & (s if isinstance(s, (set, frozenset)) else set(s)))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._adj):
@@ -344,7 +407,7 @@ class Graph:
             return NotImplemented
         # Payloads compare as `tag` gives them: a run equals its tuples.
         return (
-            self._adj == other._adj
+            self.adjacency() == other.adjacency()
             and self._kinds == other._kinds
             and list(map(self._payload, self.vertices()))
             == list(map(other._payload, other.vertices()))
@@ -423,7 +486,7 @@ def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
     when every remaining edge has an end of degree one in what remains.
     """
     del_set = set(deleted)
-    adj = g._adj
+    adj = g.adjacency()
     deg = [len(nb - del_set) for nb in adj]
     return all(
         deg[u] == 1 or deg[v] == 1
@@ -447,7 +510,7 @@ def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
 
 def write_graph(g: Graph) -> str:
     lines = [""]  # the header, once the edge lines have counted m
-    lines.extend([f"e {u} {v}" for u, nb in enumerate(g._adj) for v in sorted(nb) if u < v])
+    lines.extend([f"e {u} {v}" for u, nb in enumerate(g.adjacency()) for v in sorted(nb) if u < v])
     lines[0] = f"p da {g.n} {len(lines) - 1}"
     original = RoleKind.ORIGINAL
     # `_value_` is the member's stored name; `.value` is a Python-level property.

@@ -12,17 +12,18 @@ exercised by the test suite, not here).
 
 `run_equiv_case` turns the cyclic collector off for the whole case, when it
 was on, and back on when the case ends.  A target holds only ints,
-neighbour sets, role kinds, payload tuples and the run records of its
-`Indexed` families (tuples too), so it forms no cycle and reference
-counting frees it when the case returns; with the collector on, its passes
-walked the live target again and again (about a quarter of an `mrss`
-case's time).  Over the harness seeds 20250810-20250825 at default counts,
-the largest `mrss` target has 65,956 vertices (19,855 for the default
-seed), and at least 97.3 % of every `mrss` target's vertices are pendants.  The pause spans
-the case, not the compile alone: the first collection after a compile would
-still walk the target while it is checked.  Nothing is deferred by it, since
-a collection after many paused cases finds no unreachable object (a test
-asserts this).
+neighbour sets, role kinds, payload tuples, the run records of its
+`Indexed` families (tuples too) and the tuples of id ranges its hosts owe
+(a case never fills the sets of an `mrss` target's squares or of `t` and
+`t'`), so it forms no cycle and reference counting frees it when the case
+returns; with the collector on, its passes walked the live target again and
+again (about a quarter of an `mrss` case's time).  Over the harness seeds
+20250810-20250825 at default counts, the largest `mrss` target has 65,956
+vertices (19,855 for the default seed), and at least 97.3 % of every `mrss`
+target's vertices are pendants.  The pause spans the case, not the compile
+alone: the first collection after a compile would still walk the target
+while it is checked.  Nothing is deferred by it, since a collection after
+many paused cases finds no unreachable object (a test asserts this).
 
 A case has two steps: *draw* (the record's `gen`, then its `write`) and
 *decide* (solve the source, compile, map forward, certify and, for

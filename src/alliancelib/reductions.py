@@ -130,6 +130,10 @@ class MRSSInstance:
             raise InvalidInstance("at least one vector required")
         if self.kprime < 0:
             raise InvalidInstance("kprime must be >= 0")
+        # A larger budget selects nothing more, but the compiler would build
+        # 2*budget+2 pendants per square from it.
+        if self.kprime > len(self.vectors):
+            raise InvalidInstance("kprime must be <= the number of vectors")
         if len(self.target) != self.k:
             raise InvalidInstance("target dimension mismatch")
         for s in self.vectors:
@@ -326,6 +330,9 @@ class RBDSInstance:
             raise InvalidInstance("negative part sizes")
         if self.k < 1:
             raise InvalidInstance("budget must be >= 1")
+        # Budget 1 stays legal with no sources, since k >= 1 is required.
+        if self.k > max(1, self.n_sources):
+            raise InvalidInstance("budget must be <= the number of sources")
         seen = set()
         for t, s in self.edges:
             if not (0 <= t < self.n_terminals and 0 <= s < self.n_sources):
@@ -450,6 +457,8 @@ class VC3Instance:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise InvalidInstance("budget must be >= 0")
+        if self.k > self.graph.n:
+            raise InvalidInstance("budget must be <= the number of vertices")
         for v in self.graph.vertices():
             if self.graph.degree(v) > 3:
                 raise DegreeTooHigh(f"vertex {v} has degree {self.graph.degree(v)} > 3")

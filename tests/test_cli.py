@@ -324,6 +324,28 @@ def test_forbidden_ids_out_of_range(tmp_path, capsys):
     assert code == 2
 
 
+# A 24-digit budget: the compilers would size gadget families from it.  A
+# budget this large cannot be represented as a list length, so a regression
+# fails fast instead of allocating.
+HUGE = "1" + "0" * 23
+HUGE_BUDGETS = {
+    "mrss": f"mrss 2 3 {HUGE}\n3 3\n2 1\n1 1\n1 2\n",
+    "rbds": f"rbds 2 2 {HUGE}\ne 0 0\ne 1 0\ne 1 1\n",
+    "vc": f"p da 3 2\ne 0 1\ne 1 2\nk {HUGE}\n",
+}
+
+
+@pytest.mark.parametrize("command", ["reduce", "certify"])
+@pytest.mark.parametrize("kind", sorted(HUGE_BUDGETS))
+def test_budget_above_the_item_count_exits_2(kind, command, tmp_path, capsys):
+    src = tmp_path / "inst"
+    src.write_text(HUGE_BUDGETS[kind])
+    extra = ["--out", str(tmp_path / "t")] if command == "reduce" else []
+    code, out, err = run(capsys, command, kind, str(src), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be <= the number of" in err
+
+
 def test_reduce_to_missing_directory_exits_2(tmp_path, capsys):
     src = tmp_path / "fig1.mrss"
     src.write_text("mrss 2 3 2\n3 3\n2 1\n1 1\n1 2\n")

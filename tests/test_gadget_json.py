@@ -7,6 +7,7 @@ builds that object and calls the standard encoder; every test here compares
 `to_json()` with it, on drawn maps and on compiled targets.
 """
 
+import hashlib
 import json
 import random
 
@@ -35,6 +36,25 @@ def reference_json(gm: GadgetMap) -> str:
     roles = {str(v): {"kind": t.kind.value, "payload": t.payload} for v, t in tags}
     payload = {"kind": gm.kind, "roles": roles, "families": encode(gm.families)}
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def assert_same_text(got: str, want: str, note: object = None) -> None:
+    """Fail unless `got == want`, naming the first differing offset with a
+    little context: a plain `assert` would have pytest diff texts of
+    several megabytes, which took tens of minutes on a broken writer."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(0, at - 40)
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    pytest.fail(
+        f"{'' if note is None else f'case {note}: '}texts differ at offset {at}: "
+        f"got {len(got)} chars (sha256 {digest(got)}), {got[lo:at + 40]!r}; "
+        f"want {len(want)} chars (sha256 {digest(want)}), {want[lo:at + 40]!r}"
+    )
 
 
 TEXT = st.text(st.sampled_from('ab1"\\/\n\t\x00é€😀 '), max_size=5)
@@ -85,7 +105,7 @@ def gadget_map(kind: str, roles: list, families: dict) -> GadgetMap:
 @example("z", [(RoleKind.SQUARE, Indexed(("u", 1.5, True, [], ()), 11))], {})
 def test_to_json_matches_json_dumps(kind, roles, families):
     gm = gadget_map(kind, roles, families)
-    assert gm.to_json() == reference_json(gm)
+    assert_same_text(gm.to_json(), reference_json(gm))
 
 
 def test_unsupported_value_raises_as_json_does():
@@ -101,7 +121,7 @@ def test_seeded_compiles_match_json_dumps(kind):
     red, rng = REDUCTIONS[kind], random.Random(f"gadget-json-{kind}")
     for case in range(30):
         _, gm, _ = red.compile(red.gen(rng, DEFAULT_MAX_N[kind]))
-        assert gm.to_json() == reference_json(gm), case
+        assert_same_text(gm.to_json(), reference_json(gm), case)
 
 
 SOURCES = {name: (kind, text) for name, (kind, text, _, _) in GOLDEN_REDUCE.items()}
@@ -113,4 +133,4 @@ def test_golden_sources_match_json_dumps(name):
     kind, text = SOURCES[name]
     red = REDUCTIONS[kind]
     _, gm, _ = red.compile(red.parse(text))
-    assert gm.to_json() == reference_json(gm)
+    assert_same_text(gm.to_json(), reference_json(gm))

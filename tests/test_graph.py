@@ -205,7 +205,8 @@ def test_clone_of_twins_is_independent():
 
 
 def test_failed_add_family_leaves_twins_as_they_were():
-    # A range join fails as the list of its ids does, with the same error.
+    # A range join fails as the list of its ids does, with the same error,
+    # and records no owed join (hosts 0 and 1 owe the twins before the call).
     failures = [
         (SelfLoop, "^self-loop at 23$", range(2, 24)),
         (UnknownVertex, "^vertex -1 not in graph of order 23$", range(-1, 22)),
@@ -216,10 +217,40 @@ def test_failed_add_family_leaves_twins_as_they_were():
         for size in (1, 2, 9):
             for hosts in (join, list(join)):
                 g = _twins_graph()
-                before = g.clone()
+                owed = dict(g._owed)
                 with pytest.raises(error, match=message):
                     g.add_family(RoleKind.APEX, range(size), join=hosts)
-                assert g == before
+                assert g._owed == owed and set(owed) == {0, 1}
+                assert g == _twins_graph()
+
+
+def test_neighbors_of_an_owing_twin_leaves_the_other_twins_unchanged():
+    # Twins 3 and 15 host a family of nine, so each owes its ids; reading
+    # one of them pays its join into a set of its own, not the shared one.
+    g = _twins_graph()
+    ids = set(g.add_family(RoleKind.PENDANT, range(9), join=[3, 15]))
+    assert g.degree(3) == 10 and g.degree(15) == 11
+    assert g.neighbors(3) == {0} | ids and g.neighbors(15) == {0, 1} | ids
+    assert all(g.neighbors(v) == {0} for v in range(2, 14) if v != 3)
+    assert all(g.neighbors(v) == {0, 1} for v in range(14, 23) if v != 15)
+    assert all(g.neighbors(v) == {3, 15} for v in ids)
+
+
+def test_owed_edges_are_duplicates():
+    # Hub 0 owes its pendants and t owes the range of them; an edge already
+    # owed is refused from either end, and a new edge at t keeps t owing.
+    g = Graph()
+    [hub] = g.add_family(RoleKind.SQUARE, ["s"])
+    pendants = g.add_family(RoleKind.PENDANT, range(9), join=[hub])
+    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=range(1, 10))
+    assert set(g._owed) == {hub, t}
+    for u, v in [(hub, 1), (5, hub), (t, 9), (2, t)]:
+        with pytest.raises(DuplicateEdge, match=f"^edge \\({u},{v}\\) already present$"):
+            g.add_edge(u, v)
+    g.add_edge(t, hub)
+    assert set(g._owed) == {hub, t} and g.degree(t) == 10 and g.m == 19
+    assert g.neighbors(t) == {hub, *pendants} and g.neighbors(hub) == {t, *pendants}
+    assert not g._owed
 
 
 def test_pendant_family_holds_one_set():
@@ -241,31 +272,69 @@ def test_only_families_of_nine_or_more_share_a_set():
     assert _set_count(g, hostless) == 9
 
 
+def _replay(ops):
+    g = Graph()
+    for size, join, edge in ops:
+        if edge is None:
+            g.add_family(RoleKind.OTHER, range(size), join=join)
+        else:
+            g.add_edge(*edge)
+    return g
+
+
 def test_twins_match_private_sets():
     # Random families on both sides of the size cutoff, range and list joins
-    # and edges, against a model with one set per vertex.
+    # and edges, repeated edges among them (many at a vertex that owes a
+    # join), against a model with one set per vertex.  Degrees and m are
+    # read after every step while joins are owed; edges(), == and clone each
+    # read a fresh replay of the graph, which still owes every join.
     rng = random.Random(11)
+    owed_repeats = 0
     for _ in range(200):
-        g, model = Graph(), []
+        g, model, ops, payloads = Graph(), [], [], []
         for _ in range(rng.randint(1, 12)):
             n = len(model)
-            if n >= 2 and rng.random() < 0.3:
-                u, v = rng.sample(range(n), 2)
-                if v not in model[u]:
+            if n >= 2 and rng.random() < 0.4:
+                owing = sorted(g._owed)
+                u = rng.choice(owing) if owing and rng.random() < 0.5 else rng.randrange(n)
+                if model[u] and rng.random() < 0.5:
+                    v = rng.choice(sorted(model[u]))
+                    owed_repeats += u in g._owed or v in g._owed
+                    with pytest.raises(DuplicateEdge):
+                        g.add_edge(u, v)
+                elif len(model[u]) < n - 1:
+                    v = rng.choice([w for w in range(n) if w != u and w not in model[u]])
                     g.add_edge(u, v)
+                    ops.append((0, (), (u, v)))
                     model[u].add(v)
                     model[v].add(u)
-                continue
-            lo = rng.randint(0, n)
-            hi = rng.randint(lo, n)
-            hosts = range(lo, hi)
-            if rng.random() < 0.5:
-                hosts = [h for h in hosts if rng.random() < 0.6]
-            ids = g.add_family(RoleKind.OTHER, range(rng.choice([1, 2, 8, 9, 12])), join=hosts)
-            for h in hosts:
-                model[h].update(ids)
-            model.extend(set(hosts) for _ in ids)
+            else:
+                lo = rng.randint(0, n)
+                hi = rng.randint(lo, n)
+                hosts = range(lo, hi)
+                if rng.random() < 0.5:
+                    hosts = [h for h in hosts if rng.random() < 0.6]
+                size = rng.choice([1, 2, 8, 9, 12])
+                ids = g.add_family(RoleKind.OTHER, range(size), join=hosts)
+                ops.append((size, hosts, None))
+                payloads.extend(range(size))
+                for h in hosts:
+                    model[h].update(ids)
+                model.extend(set(hosts) for _ in ids)
+            assert g.m == sum(map(len, model)) // 2
+            assert [g.degree(v) for v in g.vertices()] == list(map(len, model))
+        ref = Graph()
+        ref.add_family(RoleKind.OTHER, payloads)
+        for u, nb in enumerate(model):
+            for v in nb:
+                if u < v:
+                    ref.add_edge(u, v)
+        assert list(_replay(ops).edges()) == list(ref.edges())
+        assert _replay(ops) == ref and ref == _replay(ops)
+        h = _replay(ops).clone()
+        assert not h._owed and _neighbourhoods(h) == model
         assert _neighbourhoods(g) == model
+    assert owed_repeats > 20
 
 
 def test_graphs_differing_in_one_payload_are_not_equal():

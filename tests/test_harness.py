@@ -7,7 +7,9 @@ import random
 import pytest
 
 from alliancelib import harness
+from alliancelib.alliances import certifies
 from alliancelib.cli import main
+from alliancelib.graph import RoleKind
 from alliancelib.harness import (
     DEFAULT_MAX_N,
     DEFAULT_SEED,
@@ -171,6 +173,26 @@ def test_paused_cases_leave_no_cycles():
     finally:
         if was:
             gc.enable()
+
+
+def test_mrss_cases_leave_the_pendant_joins_owed(monkeypatch):
+    # A case's forward check reads only the certificate members' neighbour
+    # sets, and no member hosts a pendant: every square and t, t' of each
+    # target must still owe its pendant join after the whole case.  A step
+    # that reads the whole graph fills those sets and fails here.
+    targets = []
+
+    def spy(target, cert):
+        targets.append(target.graph)
+        return certifies(target, cert)
+
+    monkeypatch.setattr(harness, "certifies", spy)
+    _, summary = run_equiv_test("mrss")
+    assert summary.forward_ok == 10 and len(targets) == 7  # 3 repeat a source
+    hubs = (RoleKind.SQUARE, RoleKind.T_VERTEX)
+    for g in targets:
+        owing = [v for v, kind in enumerate(g._kinds) if kind in hubs]
+        assert len(owing) > 2 and all(v in g._owed for v in owing)
 
 
 def _counting(kind):

@@ -44,6 +44,8 @@ CHECKS = [
      "at least one vector", None),
     ("mrss-kprime", lambda: MRSSInstance(1, ((1,),), (1,), -1), InvalidInstance,
      "kprime must be >= 0", None),
+    ("mrss-kprime-above-n", lambda: MRSSInstance(1, ((1,),), (1,), 2), InvalidInstance,
+     "kprime must be <= the number of vectors", None),
     ("mrss-target-dim", lambda: MRSSInstance(2, ((1, 1),), (1,), 1), InvalidInstance,
      "target dimension mismatch", None),
     ("mrss-vector-dim", lambda: MRSSInstance(1, ((1, 1),), (1,), 1), InvalidInstance,
@@ -54,8 +56,12 @@ CHECKS = [
      "target entries must be non-negative", None),
     ("rbds-parts", lambda: RBDSInstance(-1, 1, (), 1), InvalidInstance,
      "negative part sizes", None),
+    ("rbds-budget-above-sources", lambda: RBDSInstance(1, 2, (), 3), InvalidInstance,
+     "budget must be <= the number of sources", None),
     ("vc-budget", lambda: VC3Instance(P2, -1), InvalidInstance,
      "budget must be >= 0", None),
+    ("vc-budget-above-n", lambda: VC3Instance(P2, 3), InvalidInstance,
+     "budget must be <= the number of vertices", None),
     ("vc-compile-budget", lambda: vc_to_da(VC3Instance(P2, 0)), InvalidInstance,
      "compilation needs budget >= 1", None),
     ("da-budget", lambda: DAInstance(P2, 0), InvalidInstance,
