@@ -46,6 +46,10 @@ class DAFInstance:
     def __post_init__(self) -> None:
         if self.r < 1:
             raise InvalidInstance(f"budget must be >= 1, got {self.r}")
+        # A larger budget finds no more, but `daf_to_da` builds 2r guards per
+        # forbidden vertex; `gen_daf` draws budget 2 on one vertex.
+        if self.r > max(2, self.graph.n):
+            raise InvalidInstance("budget must be <= the number of vertices, or <= 2")
         _check_ids(self.graph, self.forbidden)
 
 

@@ -112,9 +112,9 @@ def solve_ds_bruteforce(inst: DSCircleInstance) -> tuple[Label, ...] | None:
     if d.n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"DS brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
     g = intersection_graph(d)
-    chords = d.chords()
+    chords, adj = d.chords(), g.adjacency()
     found = first_subset(range(g.n), inst.k, lambda chosen: all(
-        v in chosen or g.neighbors(v) & chosen for v in g.vertices()
+        v in chosen or adj[v] & chosen for v in g.vertices()
     ))
     return None if found is None else tuple(chords[i] for i in found)
 

@@ -1,64 +1,52 @@
-"""Simple undirected graphs with role-tagged vertices.
+"""Simple undirected graphs with role-tagged vertices, stored family by family.
 
 Vertices are dense non-negative integers handed out in construction order,
-which keeps every downstream construction a pure function of its input.
-Adjacency is a list of sets; a graph is mutable while it is being built and
-is frozen by the code that finishes it, after which any mutation raises.
-Roles are two flat lists indexed by vertex, the kinds and the payloads;
-`tag(v)` builds the `RoleTag(kind, payload)` view of one vertex on demand.
-A family whose payloads are `(*prefix, 0) ... (*prefix, count - 1)` is
-declared as `Indexed(prefix, count)`: all its vertices then hold one
-immutable run record `(prefix, first)`, as they hold one kind, and
-`tag(v)` returns `(*prefix, v - first)`.  Graphs compare by these resolved
-payloads, and `clone` shares the records.  The compilers declare their
-pendant, blanket, square, hub, fan and guard families so, and a pendant
-then holds neither a payload tuple nor (as a twin, below) a neighbour set
-of its own.
+which keeps every downstream construction a pure function of its input.  A
+graph is mutable while it is being built and is frozen by the code that
+finishes it, after which any mutation raises.
 
 Every vertex is made by `add_family` (`add_vertex` and `add_vertices` call
-it without hosts): a run of fresh vertices, one per payload, of one kind and
-joined to the same hosts.  It checks each host (in range, not one of the new
-vertices, not repeated) before it touches the graph, so a failed call
-changes nothing, then joins the family to each host with set operations
-rather than one `add_edge` per edge.  A family of nine or more vertices
-with hosts is a run of twins: its vertices hold one shared neighbour set,
-which records their id run [first, stop).  Hardness targets are almost all
-pendants (97.3 % or more of every harness `mrss` target), so this saves a
-set per pendant.  A join given as a `range` walks the graph run by run, not
-host by host, and adds to the shared set of each run it covers once; this
-is how a compiler joins a hub (`t`, `t'`, the VC apex, the RBDS helpers) to
-thousands of pendants.  Anything else that adds to a twin's own set (a list
-join, a range over part of its run, or `add_edge` at it) first gives every
-holder of the run its own copy.  A shared set equals each holder's
-neighbourhood, so no reader tells twins apart; `clone` gives every vertex
-its own set.  A smaller family (a triangle, a 4-cycle, an apex), or one
-without hosts as the parsers make, gets one set per vertex.  Since ids
-follow creation order, a compiler must create its families in the order
-that numbers them; the order in which edges are added does not matter, as
-adjacency is a set and the writer sorts edges.
+it without hosts): a run of fresh vertices of one role kind, one per
+payload, each joined to the same hosts.  The graph keeps one `Family`
+record per call: the id range, the kind, the payloads (a list, or an
+`Indexed` run `(*prefix, 0) ... (*prefix, count - 1)`, which builds no
+tuple per vertex), the hosts (a set, or the `range` given) and `joined`,
+the id runs of later families joined to every member.  Roles are read from
+these records alone (`tag`, the writer's `t` lines, `==`, the gadget JSON),
+through `families()`; the parsers make one record per run of equal kinds.
 
-A join to a large family is *owed*: a host listed for a family of nine or
-more does not take the family's ids into its own set, and a one-vertex
-family joined to a `range` of nine or more hosts (a hub) starts with an
-empty set; each records the id run it owes instead.  The other end of every
-owed edge holds it, so `add_edge` finds a repeat of one without filling a
-set, and `degree` and `m` count owed runs by length.  An owed join is paid
-on first read: `neighbors` and `deg_in` fill one vertex's set (a twin's run
-is split first, as what it owes is its own), and `adjacency()`, the one
-accessor for readers of the whole graph (`edges`, `==`, `clone`, the writer,
-the star-forest check, the solvers and the circle self-check), fills every
-set.  The harness's forward check reads only the certificate members' sets,
-and no member hosts a pendant, so a harness target never fills the sets of
-its squares or of `t` and `t'`.
+Vertex v is adjacent to the hosts and `joined` runs of its family, to its
+explicit neighbours `_edges[v]` (from `add_edge`, and every edge of a parsed
+file) and to the id runs `_links[v]`: the families v hosts through a list
+join, and the family of a `range` join that covers v's family only in part.
+A `range` join covering a family whole adds one run to its `joined`, which
+is how a compiler joins a hub (`t`, `t'`, the VC apex, the RBDS helpers) to
+thousands of pendants.  `add_family` checks each host (in range, not one of
+the new vertices, not repeated) before it touches the graph, so a failed
+call changes nothing; `add_edge` finds a repeat in u's parts, and `degree`
+and `m` count the parts by length, so none of them builds a set.
+
+A neighbour set is built when it is read, from its family's shared set:
+`neighbors(v)` builds v's alone, and `adjacency()`, the accessor for
+readers of the whole graph (`edges`, `==`, the writer, the solvers, the
+structural checks, the circle self-check and oracle), builds them all and
+keeps them until the graph next changes.  Every member of a family without
+edges or links of its own gets the family's one frozenset, which the
+family keeps.  Hardness targets are almost all pendants (97.3 % or more of
+every harness `mrss` target), and the harness reads only the certificate
+members' sets, so it never builds the sets of an `mrss` target's squares
+or of `t` and `t'`.  Since ids follow creation order, a compiler must
+create its families in the order that numbers them.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import groupby, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -110,8 +98,8 @@ ORIGINAL = RoleTag(RoleKind.ORIGINAL)
 _KIND_BY_NAME = {kind.value: kind for kind in RoleKind}
 
 
-# Both are NamedTuples: a `ds-circle` compile makes thousands of them, and a
-# frozen dataclass took about twice as long to build.
+# A `ds-circle` compile makes thousands of these; a NamedTuple builds in
+# about half the time of a frozen dataclass.
 class Indexed(NamedTuple):
     """The payloads `(*prefix, 0) ... (*prefix, count - 1)` of a family, in
     order, declared to `add_family` without building one tuple per vertex."""
@@ -120,48 +108,53 @@ class Indexed(NamedTuple):
     count: int
 
 
-class _Run(NamedTuple):
-    """The one payload record of every vertex of an `Indexed` family whose
-    first id is `first`: vertex v's payload is `(*prefix, v - first)`."""
+class Family:
+    """The record of one `add_family` call, to be read, not changed: the
+    new `ids`, their `kind`, their `payloads` (a list, or an `Indexed` run),
+    the `hosts` every member is joined to (a set, or the `range` given) and
+    `joined`, the id runs of later families joined to every member."""
 
-    prefix: tuple
-    first: int
+    __slots__ = ("ids", "kind", "payloads", "hosts", "joined", "_shared")
+
+    def __init__(self, ids: range, kind: RoleKind, payloads, hosts, joined=()) -> None:
+        self.ids, self.kind, self.payloads, self.hosts = ids, kind, payloads, hosts
+        self.joined: tuple[tuple[int, ...], ...] = joined
+        self._shared: frozenset[int] | None = None
+
+    def payload(self, v: int) -> object:
+        if type(self.payloads) is Indexed:
+            return (*self.payloads.prefix, v - self.ids.start)
+        return self.payloads[v - self.ids.start]
+
+    def shared(self) -> frozenset[int]:
+        """The neighbours every member has: the hosts and the joined runs."""
+        if self._shared is None:
+            hosts = frozenset(self.hosts)  # a frozenset is its own copy
+            self._shared = hosts.union(*self.joined) if self.joined else hosts
+        return self._shared
 
 
-class _Shared(Exception):
-    """Raised by `add` on the neighbour set of a run of twins."""
-
-
-class _Twins(set):
-    """The one neighbour set of the twins with ids in [first, stop).  Its
-    `add` raises `_Shared`: an edge at one twin is not an edge at the others,
-    so `add_edge` gives the run private sets first."""
-
-    __slots__ = ("first", "stop")
-
-    def add(self, v: int) -> None:
-        raise _Shared
-
-
-# The fewest new vertices that share one set and whose hosts owe their
-# join, and the fewest hosts a one-vertex range join owes.  A smaller family
-# saves too little to pay for its run, and less still when an edge inside it
-# follows at once and splits it (a triangle, a 4-cycle).  On the harness
-# cases a cutoff of 5, 9 or 17 timed alike, while 2 left `ds-circle` slower.
-_MIN_TWINS = 9
+def _in_runs(v: int, runs: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether v is in one of `runs`, each a run of consecutive ids."""
+    return any(run[0] <= v <= run[-1] for run in runs)
 
 
 class Graph:
     """Finite simple undirected graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("_adj", "_owed", "_kinds", "_payloads", "_frozen")
+    __slots__ = ("_families", "_bounds", "_edges", "_links", "_adj", "_frozen")
 
     def __init__(self) -> None:
-        self._adj: list[set[int]] = []
-        # v -> the id runs v is adjacent to but whose ids no set of v holds.
-        self._owed: dict[int, tuple[range, ...]] = {}
-        self._kinds: list[RoleKind] = []
-        self._payloads: list[object] = []
+        self._families: list[Family] = []
+        # The first id of each family, then n: family i holds the ids
+        # [_bounds[i], _bounds[i + 1]).
+        self._bounds = [0]
+        self._edges: dict[int, set[int]] = {}  # v -> its explicit neighbours
+        # v -> the id runs joined to v alone
+        self._links: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # Every neighbour set, as `adjacency()` built it since the graph last
+        # changed, or None.
+        self._adj: list[set[int] | frozenset[int]] | None = None
         self._frozen = False
 
     # -- construction -----------------------------------------------------
@@ -177,152 +170,104 @@ class Graph:
     ) -> list[int]:
         """One fresh vertex of role `kind` per payload, in order, each joined
         to every vertex of `join`; returns the new ids.  `payloads` and `join`
-        are each read once, so either may be a generator; an `Indexed`
-        payload run is stored as one record that all its vertices share.
-        Every host is checked, as `add_edge` would check its edges to the
-        family, before the graph is touched, so a failed call leaves the
-        graph, owed joins included, as it was.
-
-        Nine or more new vertices with hosts are twins: they hold one shared
-        neighbour set, and a host given in a list owes their id run instead
-        of taking it into its own set.  A join given as a `range` of existing
-        ids skips the per-host checks, which it cannot fail, and walks the
-        graph run by run, so a run of twins it covers takes the new ids in
-        one step; one new vertex joined so to nine or more hosts gets an
-        empty set and owes the range.  A list join that adds ids to a twin's
-        own set gives the twin a set of its own first."""
+        are each read once, so either may be a generator; an `Indexed` run is
+        kept as it is.  Every host is checked, as `add_edge` would check its
+        edges to the family, before the graph is touched, so a failed call
+        leaves the graph as it was.  A join given as a `range` of existing
+        ids skips those checks, which it cannot fail, and is recorded once
+        per family it covers whole; every other host records the new run in
+        its `_links`."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         if type(payloads) is Indexed:
-            prefix, count = payloads
+            count = payloads.count
         else:
             payloads = list(payloads)
-            prefix, count = None, len(payloads)
-        adj = self._adj
-        first = len(adj)
-        # One list of ids: every neighbour set then holds the same int objects.
-        ids = list(range(first, first + count))
+            count = len(payloads)
+        first = self._bounds[-1]
+        ids = range(first, first + count)
         if not ids:
-            return ids
+            return []
         if type(join) is range and join.step == 1 and 0 <= join.start and join.stop <= first:
-            self._join_run(join.start, join.stop, ids)
-            if len(ids) == 1 and len(join) >= _MIN_TWINS:
-                # A hub over a range starts empty and owes the range.
-                hosts = set()
-                self._owe(first, join)
-            else:
-                hosts = set(join)
+            hosts = join
         else:
-            hosts = set()
-            for host in join:
-                if not 0 <= host < first or host in hosts:
-                    if first <= host < first + len(ids):
-                        raise SelfLoop(f"self-loop at {host}")
-                    self._check_vertex(host)
-                    raise DuplicateEdge(f"edge ({host},{first}) already present")
-                hosts.add(host)
-            if len(ids) >= _MIN_TWINS:
-                run = range(first, first + len(ids))
+            listed = list(join)
+            hosts = frozenset(listed)
+            if len(hosts) < len(listed) or listed and (min(listed) < 0 or max(listed) >= first):
+                self._reject(listed, ids)
+        new = list(ids)
+        if hosts:
+            # The hosts' sets, once built, hold the same int objects as `new`.
+            run = tuple(new)
+            if type(hosts) is range:
+                self._join_range(hosts, run)
+            else:
+                links = self._links
                 for host in hosts:
-                    self._owe(host, run)
-            else:
-                for host in hosts:
-                    nb = adj[host]
-                    if type(nb) is not set:
-                        # Twins joined one by one get their own sets first.
-                        self._split(nb)
-                        nb = adj[host]
-                    nb.update(ids)
-        if len(ids) == 1:
-            adj.append(hosts)
-        elif hosts and len(ids) >= _MIN_TWINS:
-            twins = _Twins(hosts)
-            twins.first, twins.stop = first, first + len(ids)
-            adj.extend(repeat(twins, len(ids)))
-        else:
-            # Each vertex but the last gets a copy of `hosts`, the last the
-            # set itself: one set per vertex, and no empty set filled later.
-            adj.extend(map(set, repeat(hosts, len(ids) - 1)))
-            adj.append(hosts)
-        self._kinds.extend(repeat(kind, len(ids)))
-        if prefix is None:
-            self._payloads.extend(payloads)
-        else:
-            self._payloads.extend(repeat(_Run(prefix, first), len(ids)))
-        return ids
+                    links[host] = links.get(host, ()) + (run,)
+        self._families.append(Family(ids, kind, payloads, hosts))
+        self._bounds.append(ids.stop)
+        self._adj = None
+        return new
 
-    def _owe(self, v: int, run: range) -> None:
-        """Record that v is adjacent to every id of `run`, which no set of
-        v holds; the other end of each of those edges holds it."""
-        owed = self._owed
-        owed[v] = owed.get(v, ()) + (run,)
+    def _reject(self, hosts: list[int], ids: range) -> None:
+        """Raise the error `add_edge` would raise for the first bad host."""
+        seen: set[int] = set()
+        for host in hosts:
+            if host in ids:
+                raise SelfLoop(f"self-loop at {host}")
+            self._check_vertex(host)
+            if host in seen:
+                raise DuplicateEdge(f"edge ({host},{ids.start}) already present")
+            seen.add(host)
 
-    def _settle(self, v: int) -> set[int]:
-        """Pay every join v owes into v's set, and return the set.  A twin's
-        run is split first: what v owes is v's alone."""
-        adj = self._adj
-        if type(adj[v]) is not set:
-            self._split(adj[v])
-        nb = adj[v]
-        for run in self._owed.pop(v):
-            nb.update(run)
-        return nb
-
-    def _join_run(self, start: int, stop: int, ids: list[int]) -> None:
-        """Add `ids` to the neighbour set of every vertex of [start, stop),
-        once per run of twins that lies inside it; a run that straddles
-        either end is split first."""
-        adj = self._adj
-        # A one-vertex family (a hub over thousands of pendants) joins with
-        # `set.add`, which costs about half a `set.update` with a one-element
-        # list.
-        grow, arg = (set.add, ids[0]) if len(ids) == 1 else (set.update, ids)
-        v = start
-        while v < stop:
-            nb = adj[v]
-            if type(nb) is set:
-                grow(nb, arg)
-                v += 1
-            elif start <= nb.first and nb.stop <= stop:
-                grow(nb, arg)
-                v = nb.stop
-            else:
-                self._split(nb)
-
-    def _split(self, twins: "_Twins") -> None:
-        """Give every holder of a run of twins its own copy of the set."""
-        adj = self._adj
-        for v in range(twins.first, twins.stop):
-            adj[v] = set(twins)
+    def _join_range(self, hosts: range, run: tuple[int, ...]) -> None:
+        """Join every vertex of `hosts` to `run`: once per family it covers
+        whole, and in `_links` for each member of one it covers in part."""
+        fams, links = self._families, self._links
+        for i in range(bisect_right(self._bounds, hosts.start) - 1, len(fams)):
+            fam = fams[i]
+            ids = fam.ids
+            if ids.start >= hosts.stop:
+                break
+            if hosts.start <= ids.start and ids.stop <= hosts.stop:
+                fam.joined += (run,)
+                fam._shared = None
+                continue
+            for v in range(max(ids.start, hosts.start), min(ids.stop, hosts.stop)):
+                links[v] = links.get(v, ()) + (run,)
 
     def add_edge(self, u: int, v: int) -> None:
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         if u == v:
             raise SelfLoop(f"self-loop at {u}")
-        adj = self._adj
-        n = len(adj)
-        if not (0 <= u < n and 0 <= v < n):
+        bounds = self._bounds
+        if not (0 <= u < bounds[-1] and 0 <= v < bounds[-1]):
             self._check_vertex(u)
             self._check_vertex(v)
-        nu, nv = adj[u], adj[v]
-        # An owed edge is held by the set at its other end, so testing both
-        # ends finds it without filling the owing end's set.
-        if v in nu or u in nv:
+        # u's parts hold every edge at u, as v's hold every edge at v.
+        edges = self._edges
+        own, other = edges.get(u), edges.get(v)
+        fam = self._families[bisect_right(bounds, u) - 1]
+        runs = self._links.get(u)
+        if (
+            (own is not None and v in own)
+            or v in fam.hosts
+            or (fam.joined and _in_runs(v, fam.joined))
+            or (runs is not None and _in_runs(v, runs))
+        ):
             # Gadget builders must be edge-exact; a repeat is a bug upstream.
             raise DuplicateEdge(f"edge ({u},{v}) already present")
-        # Plain sets take the edge with no type check; a twin's shared set
-        # refuses it, so its run gets private sets and both ends are added
-        # again, which is harmless for an end that already took it.
-        try:
-            nu.add(v)
-            nv.add(u)
-        except _Shared:
-            for w in (u, v):
-                if type(adj[w]) is not set:
-                    self._split(adj[w])
-            adj[u].add(v)
-            adj[v].add(u)
+        if own is None:
+            edges[u] = {v}
+        else:
+            own.add(v)
+        if other is None:
+            edges[v] = {u}
+        else:
+            other.add(u)
+        self._adj = None
 
     def freeze(self) -> "Graph":
         self._frozen = True
@@ -330,61 +275,91 @@ class Graph:
 
     def clone(self) -> "Graph":
         """Unfrozen deep copy, for constructions extending an existing graph;
-        it shares the payload objects, run records included."""
+        it shares what no call changes: payloads, hosts and id runs."""
         g = Graph()
-        g._adj = [set(nb) for nb in self.adjacency()]
-        g._kinds = list(self._kinds)
-        g._payloads = list(self._payloads)
+        g._families = [Family(f.ids, f.kind, f.payloads, f.hosts, f.joined) for f in self._families]
+        g._bounds = list(self._bounds)
+        g._edges = {v: set(own) for v, own in self._edges.items()}
+        g._links = dict(self._links)
         return g
 
     # -- queries ----------------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return self._bounds[-1]
 
     @property
     def m(self) -> int:
-        owed = sum([len(run) for runs in self._owed.values() for run in runs])
-        return (sum(map(len, self._adj)) + owed) // 2
+        ends = sum([len(f.ids) * (len(f.hosts) + sum(map(len, f.joined))) for f in self._families])
+        ends += sum(map(len, self._edges.values()))
+        ends += sum([len(run) for runs in self._links.values() for run in runs])
+        return ends // 2
 
     def vertices(self) -> range:
-        return range(len(self._adj))
+        return range(self.n)
 
-    def neighbors(self, v: int) -> set[int]:
-        """The neighbour set of v, to be read, not changed: twins share one
-        set object, and a later edit of the graph may give v a new one, so
-        the result need not track edits made after the call.  The joins v
-        owes are paid into v's set first; no other vertex's set is filled."""
+    def families(self) -> tuple[Family, ...]:
+        """Every family record, in id order."""
+        return tuple(self._families)
+
+    def _family(self, v: int) -> Family:
+        return self._families[bisect_right(self._bounds, v) - 1]
+
+    def neighbors(self, v: int) -> set[int] | frozenset[int]:
+        """The neighbour set of v, to be read, not changed: the members of a
+        family may share one frozenset, and a later edit of the graph may
+        give v a new set, so the result need not track edits made after the
+        call.  Only v's set is built, unless `adjacency()` holds it, and it
+        is not kept: a reader of many sets reads `adjacency()`."""
         self._check_vertex(v)
-        if v in self._owed:
-            return self._settle(v)
-        return self._adj[v]
+        adj = self._adj
+        return self._build(v) if adj is None else adj[v]
+
+    def _build(self, v: int) -> set[int] | frozenset[int]:
+        """v's neighbour set: its family's shared set with v's links and own
+        edges added, or `_edges[v]` itself when that is all there is."""
+        shared = self._families[bisect_right(self._bounds, v) - 1].shared()
+        runs, own = self._links.get(v), self._edges.get(v)
+        if runs is not None:
+            return shared.union(own or (), *runs)
+        if own is None:
+            return shared
+        return shared.union(own) if shared else own
 
     def degree(self, v: int) -> int:
-        """|N(v)|, counting the joins v owes without filling its set."""
+        """|N(v)|, counted from v's parts without building its set."""
         self._check_vertex(v)
-        if v in self._owed:
-            return len(self._adj[v]) + sum(map(len, self._owed[v]))
-        return len(self._adj[v])
+        fam = self._family(v)
+        runs = fam.joined + self._links.get(v, ())
+        return len(fam.hosts) + len(self._edges.get(v, ())) + sum(map(len, runs))
 
-    def adjacency(self) -> list[set[int]]:
+    def adjacency(self) -> list[set[int] | frozenset[int]]:
         """The neighbour set of every vertex, indexed by id, to be read, not
-        changed, for a reader of the whole graph: every owed join is paid
-        first.  Twins may share one set object."""
-        for v in list(self._owed):
-            self._settle(v)
-        return self._adj
+        changed, for a reader of the whole graph.  The members of a family
+        without parts of their own share its one frozenset."""
+        adj = self._adj
+        if adj is None:
+            adj, edges = [], self._edges
+            for fam in self._families:
+                shared = fam.shared()
+                if shared:
+                    adj.extend(repeat(shared, len(fam.ids)))
+                else:  # a member's own edges, where it has any, are all its neighbours
+                    adj.extend(map(edges.get, fam.ids, repeat(shared)))
+            links = self._links
+            for v in links:
+                adj[v] = self._build(v)
+            for v, own in edges.items():
+                if adj[v] is not own and v not in links:
+                    adj[v] = self._build(v)
+            self._adj = adj
+        return adj
 
     def tag(self, v: int) -> RoleTag:
         self._check_vertex(v)
-        return RoleTag(self._kinds[v], self._payload(v))
-
-    def _payload(self, v: int) -> object:
-        payload = self._payloads[v]
-        if type(payload) is _Run:
-            return (*payload.prefix, v - payload.first)
-        return payload
+        fam = self._family(v)
+        return RoleTag(fam.kind, fam.payload(v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending order."""
@@ -399,19 +374,15 @@ class Graph:
         return len(nb & (s if isinstance(s, (set, frozenset)) else set(s)))
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < len(self._adj):
-            raise UnknownVertex(f"vertex {v} not in graph of order {len(self._adj)}")
+        if not 0 <= v < self._bounds[-1]:
+            raise UnknownVertex(f"vertex {v} not in graph of order {self.n}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        # Payloads compare as `tag` gives them: a run equals its tuples.
-        return (
-            self.adjacency() == other.adjacency()
-            and self._kinds == other._kinds
-            and list(map(self._payload, self.vertices()))
-            == list(map(other._payload, other.vertices()))
-        )
+        # Roles compare vertex by vertex, however the families split them.
+        a, b = ([(f.kind, f.payload(v)) for f in g._families for v in f.ids] for g in (self, other))
+        return self.adjacency() == other.adjacency() and a == b
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -436,6 +407,7 @@ def is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     lowest-id vertex, which makes the returned partition canonical.
     """
     color: list[int] = [-1] * g.n
+    adj = g.adjacency()
     for start in g.vertices():
         if color[start] != -1:
             continue
@@ -443,7 +415,7 @@ def is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)
@@ -512,9 +484,10 @@ def write_graph(g: Graph) -> str:
     lines = [""]  # the header, once the edge lines have counted m
     lines.extend([f"e {u} {v}" for u, nb in enumerate(g.adjacency()) for v in sorted(nb) if u < v])
     lines[0] = f"p da {g.n} {len(lines) - 1}"
-    original = RoleKind.ORIGINAL
-    # `_value_` is the member's stored name; `.value` is a Python-level property.
-    lines.extend([f"t {v} {k._value_}" for v, k in enumerate(g._kinds) if k is not original])
+    for fam in g.families():
+        if fam.kind is not RoleKind.ORIGINAL:
+            # `_value_` is the member's stored name; `.value` is a Python-level property.
+            lines.extend([f"t {v} {fam.kind._value_}" for v in fam.ids])
     return "\n".join(lines) + "\n"
 
 
@@ -552,9 +525,8 @@ def _parse_written(text: str) -> Graph | None:
     except ValueError:  # more digits than int() reads
         return None
     ids = _SMALL_IDS if n <= len(_SMALL_IDS) else dict(zip(map(str, range(n)), range(n)))
-    g = Graph()
-    g.add_vertices(n)
-    adj, kinds = g._adj, g._kinds
+    adj = [set() for _ in range(n)]
+    kinds = [RoleKind.ORIGINAL] * n
     pos = head.end()
     edges = tag_lines = 0
     tagged: set[int] = set()
@@ -583,7 +555,10 @@ def _parse_written(text: str) -> Graph | None:
     # edge lines the sum is 2m only if there is neither.
     if pos != len(text) or edges != m or sum(map(len, adj)) != 2 * m or len(tagged) != tag_lines:
         return None
-    return g.freeze()
+    # The sets hold the table's int objects; the table itself goes first.
+    vertex_ids = list(islice(ids.values(), n))
+    del ids
+    return _parsed(vertex_ids, adj, kinds)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -616,6 +591,7 @@ def _parse_lines(text: str) -> Graph:
                 if n < 0 or m < 0:
                     raise ParseError("negative counts")
                 g.add_vertices(n)
+                kinds = [RoleKind.ORIGINAL] * n
             elif head == "t":
                 if len(fields) != 3:
                     raise ParseError("expected 't <v> <tagname>'")
@@ -628,7 +604,7 @@ def _parse_lines(text: str) -> Graph:
                 kind = _KIND_BY_NAME.get(fields[2])
                 if kind is None:
                     raise ParseError(f"unknown tag '{fields[2]}'")
-                g._kinds[v] = kind
+                kinds[v] = kind
             else:
                 raise ParseError(f"unknown record '{head}'")
     except (ValueError, AllianceError) as exc:
@@ -637,6 +613,21 @@ def _parse_lines(text: str) -> Graph:
         raise ParseError("missing 'p da' header")
     if edge_lines != m:
         raise ParseError(f"header promises {m} edges, file has {edge_lines}")
+    return _parsed(range(n), [g._edges.get(v) or set() for v in range(n)], kinds)
+
+
+def _parsed(ids: Iterable[int], adj: list[set[int]], kinds: list[RoleKind]) -> Graph:
+    """The frozen graph of a parsed file, from its vertex ids and the
+    neighbour set and kind of each: one record per run of equal kinds, and
+    every edge explicit, so each vertex's set is its own `_edges` set."""
+    g = Graph()
+    for kind, run in groupby(kinds):
+        first = g._bounds[-1]
+        count = len(list(run))
+        g._families.append(Family(range(first, first + count), kind, [None] * count, frozenset()))
+        g._bounds.append(first + count)
+    g._edges = dict(zip(ids, adj))
+    g._adj = adj
     return g.freeze()
 
 

@@ -11,11 +11,11 @@ reverse direction of those reductions lives in the extraction maps,
 exercised by the test suite, not here).
 
 `run_equiv_case` turns the cyclic collector off for the whole case, when it
-was on, and back on when the case ends.  A target holds only ints,
-neighbour sets, role kinds, payload tuples, the run records of its
-`Indexed` families (tuples too) and the tuples of id ranges its hosts owe
-(a case never fills the sets of an `mrss` target's squares or of `t` and
-`t'`), so it forms no cycle and reference counting frees it when the case
+was on, and back on when the case ends.  A target holds only ints, the
+`Family` records of its graph (each an id range, a role kind, payload
+tuples or an `Indexed` run, hosts and tuples of id runs), the sets built
+from them, and dicts, lists and tuples of these; no record refers back to
+the graph, so it forms no cycle and reference counting frees it when the case
 returns; with the collector on, its passes walked the live target again and
 again (about a quarter of an `mrss` case's time).  Over the harness seeds
 20250810-20250825 at default counts, the largest `mrss` target has 65,956

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance, first_subset
 from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, reader
-from .graph import Graph, Indexed, RoleKind, _Run, parse_graph, read_rows, write_graph
+from .graph import Graph, Indexed, RoleKind, parse_graph, read_rows, write_graph
 
 
 def _json(obj: object, depth: int) -> str:
@@ -76,37 +76,41 @@ class GadgetMap:
         sorted, one-space indent, dict keys as strings, tuples as lists;
         `roles` maps each vertex id, in string order, to its tag's kind and
         payload.  Byte-equal to `json.dumps` of that object with
-        `sort_keys=True, indent=1`, plus a newline, written in one pass."""
-        kinds, payloads = self.graph._kinds, self.graph._payloads
+        `sort_keys=True, indent=1`, plus a newline, written family by family
+        from the graph's records."""
         heads = {
             role: f'": {{\n   "kind": {_quote(role.value)},\n   "payload": ' for role in RoleKind
         }
-        # The text of a run's vertex up to its last payload entry, v - first,
-        # cached by the run's first id: a list is written one item per line,
-        # so the prefix reads the same for every vertex of the run.
-        run_heads: dict[int, str] = {}
-        families, kind = _json(self.families, 1), _json(self.kind, 1)
-        out = [f'{{\n "families": {families},\n "kind": {kind},\n "roles": ']
-        sep = '{\n  "'
-        for v in sorted(range(len(kinds)), key=str):
-            payload = payloads[v]
-            if type(payload) is _Run:
-                prefix, first = payload
-                head = run_heads.get(first)
-                if head is None:
-                    items = "".join([f"{_json(x, 4)},\n    " for x in prefix])
-                    head = run_heads[first] = f"{heads[kinds[v]]}[\n    {items}"
-                out.append(f"{sep}{v}{head}{v - first}\n   ]")
-            else:
+        roles: list[str] = []  # each vertex's entry, by id
+        for fam in self.graph.families():
+            head, payloads = heads[fam.kind], fam.payloads
+            if type(payloads) is Indexed:
+                # A list is written one item per line, so every vertex of the
+                # run reads the same up to its last entry, v - first.
+                items = "".join([f"{_json(x, 4)},\n    " for x in payloads.prefix])
+                head = f"{head}[\n    {items}"
+                first = fam.ids.start
+                roles.extend([f"{v}{head}{v - first}\n   ]" for v in fam.ids])
+                continue
+            for v, payload in zip(fam.ids, payloads):
                 # Most other payloads are flat int tuples: write them without a call.
                 if type(payload) is tuple and payload and all(type(x) is int for x in payload):
                     text = "[\n    " + ",\n    ".join(map(int.__repr__, payload)) + "\n   ]"
                 else:
                     text = _json(payload, 3)
-                out.append(f"{sep}{v}{heads[kinds[v]]}{text}")
-            sep = '\n  },\n  "'
-        out.append("\n  }\n }\n}\n" if kinds else "{}\n}\n")
-        return "".join(out)
+                roles.append(f"{v}{head}{text}")
+        families, kind = _json(self.families, 1), _json(self.kind, 1)
+        top = f'{{\n "families": {families},\n "kind": {kind},\n "roles": '
+        if not roles:
+            return top + "{}\n}\n"
+        # An entry is its id, then '"', which sorts before every digit: the
+        # entries sort as their ids do as strings.
+        roles.sort()
+        # The text before the first entry and after the last rides on them,
+        # so the entries are copied once, by the join.
+        roles[0] = top + '{\n  "' + roles[0]
+        roles[-1] += "\n  }\n }\n}\n"
+        return '\n  },\n  "'.join(roles)
 
 
 # ---------------------------------------------------------------------------

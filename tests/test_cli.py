@@ -332,6 +332,7 @@ HUGE_BUDGETS = {
     "mrss": f"mrss 2 3 {HUGE}\n3 3\n2 1\n1 1\n1 2\n",
     "rbds": f"rbds 2 2 {HUGE}\ne 0 0\ne 1 0\ne 1 1\n",
     "vc": f"p da 3 2\ne 0 1\ne 1 2\nk {HUGE}\n",
+    "daf": f"p da 2 0\nk {HUGE}\nf 0\n",
 }
 
 

@@ -45,7 +45,8 @@ def test_all_forbidden_triangle():
 
 
 def test_gadget_degrees():
-    g = build_graph(2, [(0, 1)])
+    # Vertex 2 is isolated: it only makes budget 3 legal (r <= max(2, n)).
+    g = build_graph(3, [(0, 1)])
     inst = DAFInstance(g, 3, frozenset({0}))
     da, gm = daf_to_da(inst)
     mirror = gm.families["mirror"][0]

@@ -1,10 +1,16 @@
+import ast
 import itertools
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import alliancelib
 from alliancelib.errors import DuplicateEdge, FrozenGraph, ParseError, SelfLoop, UnknownVertex
 from alliancelib.graph import (
+    Family,
     Graph,
     Indexed,
     RoleKind,
@@ -115,10 +121,52 @@ def test_add_family_neighbour_sets():
     ids = g.add_family(RoleKind.PENDANT, range(4), join=hosts[:3])
     assert all(g.neighbors(v) == set(hosts[:3]) for v in ids)
     assert all(g.neighbors(h) == {apex, *ids} for h in hosts[:3])
-    # no two vertices share one set, so an edge added later touches one vertex
-    assert len({id(g.neighbors(v)) for v in g.vertices()}) == g.n
+    # An edge added later touches its two ends, not the rest of the family.
     g.add_edge(ids[0], apex)
-    assert g.neighbors(ids[1]) == set(hosts[:3])
+    assert g.neighbors(ids[0]) == {*hosts[:3], apex} and g.neighbors(apex) == {*hosts, ids[0]}
+    assert all(g.neighbors(v) == set(hosts[:3]) for v in ids[1:])
+
+
+def test_adjacency_follows_every_change():
+    # `adjacency()` keeps its sets only until the graph next changes.
+    g = Graph()
+    g.add_vertices(3)
+    assert g.adjacency() == [set(), set(), set()]
+    g.add_edge(0, 1)
+    assert g.adjacency() == [{1}, {0}, set()]
+    [hub] = g.add_family(RoleKind.APEX, ["a"], join=range(0, 3))
+    assert g.adjacency() == [{1, hub}, {0, hub}, {hub}, {0, 1, 2}]
+    assert g.neighbors(2) == {hub} and g.freeze().adjacency() is g.adjacency()
+
+
+def _records(g):
+    return [(f.ids, f.kind, f.payloads, f.hosts, f.joined) for f in g.families()]
+
+
+def test_families_record_each_add_family_call():
+    g = Graph()
+    g.add_vertices(3)
+    assert g.add_family(RoleKind.PENDANT, [], join=[0]) == []  # no ids, no record
+    g.add_family(RoleKind.PENDANT, Indexed(("p",), 4), join=(h for h in [2, 0]))
+    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=range(3, 7))
+    assert _records(g) == [
+        (range(0, 3), RoleKind.ORIGINAL, [None, None, None], set(), ()),
+        (range(3, 7), RoleKind.PENDANT, Indexed(("p",), 4), {0, 2}, ((t,),)),
+        (range(7, 8), RoleKind.T_VERTEX, [0], range(3, 7), ()),
+    ]
+    # A range over part of a family is not recorded in its `joined`.
+    g.add_family(RoleKind.APEX, ["a"], join=range(4, 6))
+    assert g.families()[1].joined == ((t,),)
+    assert [g.degree(v) for v in range(3, 7)] == [3, 4, 4, 3]
+    # The parsers make one record per run of equal kinds.
+    h = parse_graph("p da 5 1\ne 0 4\nt 1 square\nt 2 square\nt 4 pendant\n")
+    assert [(f.ids, f.kind) for f in h.families()] == [
+        (range(0, 1), RoleKind.ORIGINAL),
+        (range(1, 3), RoleKind.SQUARE),
+        (range(3, 4), RoleKind.ORIGINAL),
+        (range(4, 5), RoleKind.PENDANT),
+    ]
+    assert h.neighbors(0) == {4} and h.tag(2) == RoleTag(RoleKind.SQUARE)
 
 
 def test_clone_is_independent():
@@ -127,19 +175,20 @@ def test_clone_is_independent():
     g.add_family(RoleKind.PENDANT, ["p"], join=[0, 1])
     g.freeze()
     tags = [g.tag(v) for v in g.vertices()]
-    before = (g.n, tags, [set(g.neighbors(v)) for v in g.vertices()])
+    before = (g.n, tags, [set(g.neighbors(v)) for v in g.vertices()], _records(g))
     h = g.clone()
     assert h == g
     h.add_family(RoleKind.APEX, ["a"], join=[0, 2])
+    h.add_family(RoleKind.APEX, ["b"], join=range(0, 4))  # joins every record of h
     h.add_vertex(RoleTag(RoleKind.SQUARE, "s"))
     h.add_edge(0, 1)
-    h._kinds[0], h._payloads[1] = RoleKind.OTHER, "x"
     assert h != g
-    assert (g.n, [g.tag(v) for v in g.vertices()], [g.neighbors(v) for v in g.vertices()]) == before
+    after = (g.n, [g.tag(v) for v in g.vertices()], [g.neighbors(v) for v in g.vertices()], _records(g))
+    assert after == before
 
 
 def _twins_graph():
-    """Hubs 0 and 1, then twins 2..13 on hub 0 and twins 14..22 on hubs 0 and 1."""
+    """Hubs 0 and 1, then a family 2..13 on hub 0 and a family 14..22 on hubs 0 and 1."""
     g = Graph()
     g.add_vertices(2)
     g.add_family(RoleKind.PENDANT, range(12), join=[0])
@@ -152,26 +201,50 @@ def _neighbourhoods(g):
 
 
 def _set_count(g, vertices):
-    return len({id(g.neighbors(v)) for v in vertices})
+    """The number of distinct set objects `adjacency()` gives `vertices`."""
+    adj = g.adjacency()
+    return len({id(adj[v]) for v in vertices})
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The kinds of the families whose shared set a read asks for, one entry
+    per request.  Every neighbour set is built from its family's shared set,
+    so a vertex whose family never shows up here has had no set built."""
+    kinds = []
+    shared = Family.shared
+
+    def spy(fam):
+        kinds.append(fam.kind)
+        return shared(fam)
+
+    monkeypatch.setattr(Family, "shared", spy)
+    return kinds
 
 
 def test_whole_run_join_grows_one_shared_set():
+    # A range join is recorded once in each family it covers whole, and the
+    # members of such a family keep one shared set.
     g = _twins_graph()
-    shared = g.neighbors(2)
+    assert g.neighbors(2) == {0}  # a set read before the join is not reused
     [t] = g.add_family(RoleKind.T_VERTEX, [0], join=range(2, 14))
-    assert all(g.neighbors(v) is shared for v in range(2, 14))
-    assert shared == {0, t} and g.neighbors(t) == set(range(2, 14))
+    fams = g.families()
+    assert fams[1].joined == ((t,),) and fams[2].joined == () and fams[3].hosts == range(2, 14)
+    g.freeze()
+    assert _set_count(g, range(2, 14)) == 1 and _set_count(g, range(14, 23)) == 1
+    assert g.neighbors(2) == {0, t} and g.neighbors(t) == set(range(2, 14))
     assert g.neighbors(14) == {0, 1}
-    # The same hosts as a list: each twin gets a set of its own.
-    g = _twins_graph()
-    [t] = g.add_family(RoleKind.T_VERTEX, [0], join=list(range(13, 1, -1)))
-    assert all(g.neighbors(v) == {0, t} for v in range(2, 14))
-    assert _set_count(g, range(2, 14)) == 12 and _set_count(g, range(14, 23)) == 1
+    # The same hosts as a list: the new record holds them, no other record
+    # changes, and every neighbourhood is the same.
+    h = _twins_graph()
+    [t] = h.add_family(RoleKind.T_VERTEX, [0], join=list(range(13, 1, -1)))
+    assert h.families()[1].joined == () and h.families()[3].hosts == set(range(2, 14))
+    assert h == g and _neighbourhoods(h) == _neighbourhoods(g)
 
 
 def test_partial_join_leaves_the_other_twins_unchanged():
-    # A range that straddles the end of one run and the start of the next,
-    # and a list that covers part of a run.
+    # A range that straddles the end of one family and the start of the
+    # next, and a list that covers part of a family.
     for join in (range(10, 17), [3, 15]):
         g = _twins_graph()
         before = _neighbourhoods(g)
@@ -179,6 +252,7 @@ def test_partial_join_leaves_the_other_twins_unchanged():
         for v in range(23):
             assert g.neighbors(v) == (before[v] | set(ids) if v in join else before[v])
         assert all(g.neighbors(v) == set(join) for v in ids)
+        assert all(f.joined == () for f in g.families())
 
 
 def test_add_edge_at_a_twin_leaves_the_other_twins_unchanged():
@@ -188,7 +262,7 @@ def test_add_edge_at_a_twin_leaves_the_other_twins_unchanged():
     assert all(g.neighbors(v) == {0} for v in range(2, 14) if v != 3)
     assert all(g.neighbors(v) == {0, 1} for v in range(14, 23) if v != 15)
     g = _twins_graph()
-    g.add_edge(14, 22)  # two twins of one run
+    g.add_edge(14, 22)  # two members of one family
     assert g.neighbors(14) == {0, 1, 22} and g.neighbors(22) == {0, 1, 14}
     assert all(g.neighbors(v) == {0, 1} for v in range(15, 22))
     assert all(g.neighbors(v) == {0} for v in range(2, 14))
@@ -196,17 +270,18 @@ def test_add_edge_at_a_twin_leaves_the_other_twins_unchanged():
 
 def test_clone_of_twins_is_independent():
     g = _twins_graph()
-    before = _neighbourhoods(g)
+    before, records = _neighbourhoods(g), _records(g)
     h = g.clone()
-    assert h == g and _set_count(h, h.vertices()) == h.n
+    assert h == g
     h.add_family(RoleKind.APEX, ["a"], join=range(2, 23))
     h.add_edge(2, 14)
-    assert _neighbourhoods(g) == before
+    assert _neighbourhoods(g) == before and _records(g) == records
+    assert h.families()[1].joined == ((23,),) and h.neighbors(2) == {0, 14, 23}
 
 
 def test_failed_add_family_leaves_twins_as_they_were():
     # A range join fails as the list of its ids does, with the same error,
-    # and records no owed join (hosts 0 and 1 owe the twins before the call).
+    # and changes no record.
     failures = [
         (SelfLoop, "^self-loop at 23$", range(2, 24)),
         (UnknownVertex, "^vertex -1 not in graph of order 23$", range(-1, 22)),
@@ -217,16 +292,16 @@ def test_failed_add_family_leaves_twins_as_they_were():
         for size in (1, 2, 9):
             for hosts in (join, list(join)):
                 g = _twins_graph()
-                owed = dict(g._owed)
+                records = _records(g)
                 with pytest.raises(error, match=message):
                     g.add_family(RoleKind.APEX, range(size), join=hosts)
-                assert g._owed == owed and set(owed) == {0, 1}
+                assert _records(g) == records
                 assert g == _twins_graph()
 
 
 def test_neighbors_of_an_owing_twin_leaves_the_other_twins_unchanged():
-    # Twins 3 and 15 host a family of nine, so each owes its ids; reading
-    # one of them pays its join into a set of its own, not the shared one.
+    # Members 3 and 15 host a family of nine; reading one of them builds its
+    # set alone, and the rest of its family keeps the shared one.
     g = _twins_graph()
     ids = set(g.add_family(RoleKind.PENDANT, range(9), join=[3, 15]))
     assert g.degree(3) == 10 and g.degree(15) == 11
@@ -234,42 +309,66 @@ def test_neighbors_of_an_owing_twin_leaves_the_other_twins_unchanged():
     assert all(g.neighbors(v) == {0} for v in range(2, 14) if v != 3)
     assert all(g.neighbors(v) == {0, 1} for v in range(14, 23) if v != 15)
     assert all(g.neighbors(v) == {3, 15} for v in ids)
+    assert _set_count(g, range(2, 14)) == 2 and _set_count(g, range(14, 23)) == 2
 
 
-def test_owed_edges_are_duplicates():
-    # Hub 0 owes its pendants and t owes the range of them; an edge already
-    # owed is refused from either end, and a new edge at t keeps t owing.
+def test_owed_edges_are_duplicates(built):
+    # Hub 0 hosts its pendants and t is joined to the range of them, so both
+    # joins live in records.  An edge a record holds is refused from either
+    # end, and a new edge at t builds no set.
     g = Graph()
     [hub] = g.add_family(RoleKind.SQUARE, ["s"])
     pendants = g.add_family(RoleKind.PENDANT, range(9), join=[hub])
     [t] = g.add_family(RoleKind.T_VERTEX, [0], join=range(1, 10))
-    assert set(g._owed) == {hub, t}
     for u, v in [(hub, 1), (5, hub), (t, 9), (2, t)]:
         with pytest.raises(DuplicateEdge, match=f"^edge \\({u},{v}\\) already present$"):
             g.add_edge(u, v)
     g.add_edge(t, hub)
-    assert set(g._owed) == {hub, t} and g.degree(t) == 10 and g.m == 19
+    assert g.degree(t) == 10 and g.degree(hub) == 10 and g.m == 19
+    assert built == []
     assert g.neighbors(t) == {hub, *pendants} and g.neighbors(hub) == {t, *pendants}
-    assert not g._owed
+    assert built == [RoleKind.T_VERTEX, RoleKind.SQUARE]
 
 
-def test_pendant_family_holds_one_set():
+def test_pendant_family_holds_one_set(built):
+    # A family of 500 pendants holds no set until one is read: the call
+    # allocates less than one set per pendant would, and no read asks for a
+    # set.  The first read builds the family's one set, which every pendant
+    # then shares.
     g = Graph()
     [hub] = g.add_family(RoleKind.SQUARE, ["s"])
-    pendants = g.add_family(RoleKind.PENDANT, range(500), join=[hub])
+    tracemalloc.start()
+    try:
+        pendants = g.add_family(RoleKind.PENDANT, Indexed(("p",), 500), join=[hub])
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown < 500 * sys.getsizeof(set())
+    assert g.m == 500 and g.degree(hub) == 500 and g.degree(pendants[7]) == 1
+    assert built == []
+    g.freeze()
+    first = g.neighbors(pendants[0])
+    assert first == {hub} and built == [RoleKind.PENDANT]
+    assert all(g.neighbors(p) is first for p in pendants)
+    assert g.neighbors(hub) == set(pendants) and set(built) == {RoleKind.PENDANT, RoleKind.SQUARE}
     assert _set_count(g, pendants) == 1
-    assert g.neighbors(pendants[0]) == {hub} and g.neighbors(hub) == set(pendants)
-    assert g.m == 500
 
 
-def test_only_families_of_nine_or_more_share_a_set():
+def test_untouched_members_of_every_family_share_one_set():
+    # Whatever its size, a family's members share one set in `adjacency()`,
+    # except those with edges or hosted families of their own.
     g = Graph()
     [hub] = g.add_family(RoleKind.SQUARE, ["s"])
     small = g.add_family(RoleKind.PENDANT, range(8), join=[hub])
     large = g.add_family(RoleKind.PENDANT, range(9), join=[hub])
     hostless = g.add_family(RoleKind.OTHER, range(9))
-    assert _set_count(g, small) == 8 and _set_count(g, large) == 1
-    assert _set_count(g, hostless) == 9
+    pair = g.add_family(RoleKind.OTHER, range(2), join=[hub, large[0]])
+    g.add_edge(pair[0], small[0])
+    g.freeze()
+    assert _set_count(g, small[1:]) == 1 and _set_count(g, large[1:]) == 1
+    assert _set_count(g, small) == _set_count(g, large) == 2
+    assert _set_count(g, hostless) == 1 and not g.neighbors(hostless[0])
+    assert g.neighbors(small[0]) == {hub, pair[0]} and g.neighbors(large[0]) == {hub, *pair}
 
 
 def _replay(ops):
@@ -282,24 +381,35 @@ def _replay(ops):
     return g
 
 
+def _record_edges(g):
+    """The edges the family records hold: each member to its hosts and to
+    the ids of its joined runs."""
+    return {
+        (min(w, x), max(w, x))
+        for fam in g.families()
+        for w in fam.ids
+        for x in itertools.chain(fam.hosts, *fam.joined)
+    }
+
+
 def test_twins_match_private_sets():
-    # Random families on both sides of the size cutoff, range and list joins
-    # and edges, repeated edges among them (many at a vertex that owes a
-    # join), against a model with one set per vertex.  Degrees and m are
-    # read after every step while joins are owed; edges(), == and clone each
-    # read a fresh replay of the graph, which still owes every join.
+    # Random families of 1 to 12 vertices, range and list joins and edges,
+    # repeated edges among them (many at a host, and many of an edge that a
+    # record holds), against a model with one set per vertex.  Degrees and m
+    # are read after every step, before any set is built; edges(), == and
+    # clone each read a fresh replay of the graph, with no set built yet.
     rng = random.Random(11)
-    owed_repeats = 0
+    record_repeats = 0
     for _ in range(200):
         g, model, ops, payloads = Graph(), [], [], []
         for _ in range(rng.randint(1, 12)):
             n = len(model)
             if n >= 2 and rng.random() < 0.4:
-                owing = sorted(g._owed)
-                u = rng.choice(owing) if owing and rng.random() < 0.5 else rng.randrange(n)
+                hosts = sorted({h for fam in g.families() for h in fam.hosts})
+                u = rng.choice(hosts) if hosts and rng.random() < 0.5 else rng.randrange(n)
                 if model[u] and rng.random() < 0.5:
                     v = rng.choice(sorted(model[u]))
-                    owed_repeats += u in g._owed or v in g._owed
+                    record_repeats += (min(u, v), max(u, v)) in _record_edges(g)
                     with pytest.raises(DuplicateEdge):
                         g.add_edge(u, v)
                 elif len(model[u]) < n - 1:
@@ -331,17 +441,17 @@ def test_twins_match_private_sets():
                     ref.add_edge(u, v)
         assert list(_replay(ops).edges()) == list(ref.edges())
         assert _replay(ops) == ref and ref == _replay(ops)
-        h = _replay(ops).clone()
-        assert not h._owed and _neighbourhoods(h) == model
+        assert _neighbourhoods(_replay(ops).clone()) == model
         assert _neighbourhoods(g) == model
-    assert owed_repeats > 20
+    assert record_repeats > 20
 
 
 def test_graphs_differing_in_one_payload_are_not_equal():
     a, b = Graph(), Graph()
     a.add_family(RoleKind.SQUARE, [("s", 0), ("s", 1)])
     b.add_family(RoleKind.SQUARE, [("s", 0), ("s", 2)])
-    assert a._kinds == b._kinds and a._adj == b._adj
+    assert [f.kind for f in a.families()] == [f.kind for f in b.families()]
+    assert a.adjacency() == b.adjacency()
     assert a != b
     b = Graph()
     b.add_family(RoleKind.SQUARE, [("s", 0), ("s", 1)])
@@ -644,3 +754,26 @@ def test_graph_format_ignores_comments():
     assert g.n == 2 and g.m == 1
     g = parse_graph("p da 2 1\nc after the header\ne 0 1\nc\n")
     assert g.n == 2 and g.m == 1
+
+
+def test_only_graph_py_reads_the_graph_store():
+    # The record layout stays behind one module: no other module of the
+    # package reads a private data field of `Graph` or `Family`, by
+    # attribute or by name string, or imports a private name of graph.py.
+    private = {name for cls in (Graph, Family) for name in cls.__slots__ if name[0] == "_"}
+    found = []
+    for path in sorted(Path(alliancelib.__file__).parent.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in private:
+                found.append(f"{path.name}:{node.lineno} names {node.value!r}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "graph":
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name[0] == "_"
+                ]
+    assert private >= {"_families", "_edges", "_links", "_adj"} and found == []

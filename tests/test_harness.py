@@ -9,7 +9,7 @@ import pytest
 from alliancelib import harness
 from alliancelib.alliances import certifies
 from alliancelib.cli import main
-from alliancelib.graph import RoleKind
+from alliancelib.graph import Family, RoleKind
 from alliancelib.harness import (
     DEFAULT_MAX_N,
     DEFAULT_SEED,
@@ -177,22 +177,32 @@ def test_paused_cases_leave_no_cycles():
 
 def test_mrss_cases_leave_the_pendant_joins_owed(monkeypatch):
     # A case's forward check reads only the certificate members' neighbour
-    # sets, and no member hosts a pendant: every square and t, t' of each
-    # target must still owe its pendant join after the whole case.  A step
-    # that reads the whole graph fills those sets and fails here.
-    targets = []
+    # sets, and no member hosts a pendant: no square's set, and neither t's
+    # nor t''s, is built in the whole run, and their pendant joins stay in
+    # the records.  Every set is built from its family's shared set, so a
+    # spy on `Family.shared` sees the family of every set built; a step that
+    # reads the whole graph builds the squares' sets and fails here.
+    targets, built = [], []
+    shared = Family.shared
 
-    def spy(target, cert):
+    def spy_certifies(target, cert):
         targets.append(target.graph)
         return certifies(target, cert)
 
-    monkeypatch.setattr(harness, "certifies", spy)
+    def spy_shared(fam):
+        built.append(fam.kind)
+        return shared(fam)
+
+    monkeypatch.setattr(harness, "certifies", spy_certifies)
+    monkeypatch.setattr(Family, "shared", spy_shared)
+    monkeypatch.setattr(harness, "_memo", {})
     _, summary = run_equiv_test("mrss")
     assert summary.forward_ok == 10 and len(targets) == 7  # 3 repeat a source
-    hubs = (RoleKind.SQUARE, RoleKind.T_VERTEX)
+    assert RoleKind.HUB_H in built  # the spy sees the members' sets
+    assert not {RoleKind.SQUARE, RoleKind.T_VERTEX} & set(built)
     for g in targets:
-        owing = [v for v, kind in enumerate(g._kinds) if kind in hubs]
-        assert len(owing) > 2 and all(v in g._owed for v in owing)
+        hubs = [f.hosts for f in g.families() if f.kind is RoleKind.T_VERTEX]
+        assert len(hubs) == 2 and all(type(hosts) is range for hosts in hubs)
 
 
 def _counting(kind):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from alliancelib import generators, harness
-from alliancelib.alliances import DAInstance, Witness
+from alliancelib.alliances import DAFInstance, DAInstance, Witness
 from alliancelib.circle import ChordDiagram, DSCircleInstance, ds_to_daf
 from alliancelib.cli import main
 from alliancelib.errors import BadParams, FrozenGraph, InvalidInstance, MalformedDiagram
@@ -62,6 +62,8 @@ CHECKS = [
      "budget must be >= 0", None),
     ("vc-budget-above-n", lambda: VC3Instance(P2, 3), InvalidInstance,
      "budget must be <= the number of vertices", None),
+    ("daf-budget-above-n", lambda: DAFInstance(P2, 3), InvalidInstance,
+     "budget must be <= the number of vertices, or <= 2", None),
     ("vc-compile-budget", lambda: vc_to_da(VC3Instance(P2, 0)), InvalidInstance,
      "compilation needs budget >= 1", None),
     ("da-budget", lambda: DAInstance(P2, 0), InvalidInstance,
