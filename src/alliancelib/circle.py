@@ -6,6 +6,14 @@ pairs interleave around the circle.  The reduction from dominating set on
 circle graphs to the forbidden-vertex alliance problem is carried out on both
 representations at once: ds_to_daf emits the target graph *and* a chord
 diagram realizing it, and checks that the two agree edge-for-edge.
+
+Almost every chord of such a diagram is a degree-one pendant, emitted in
+its host's nest: the block p1 ... pc h pc ... p1.  Since every label occurs
+exactly twice, each p_i of such a block crosses h and nothing else, and
+deleting the p's leaves every other crossing as it was (the nest lemma).
+`diagram_mismatch` takes each such block in one step and hands every other
+position to `crossing_pairs`, so the self-check still decides, for the
+whole emitted diagram, whether its crossings are exactly the target's edges.
 """
 
 from __future__ import annotations
@@ -40,11 +48,12 @@ class ChordDiagram:
     labels: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        # Counter counts in C and keeps first-occurrence order, so `bad`
-        # lists labels as they first appear.
+        # Counter counts in C; twice as many labels as chords, none more
+        # than twice, is every chord exactly twice.  Counter keeps
+        # first-occurrence order, so `bad` lists labels as they first appear.
         counts = Counter(self.labels)
-        bad = [lab for lab, c in counts.items() if c != 2]
-        if bad:
+        if len(self.labels) != 2 * len(counts) or max(counts.values(), default=2) != 2:
+            bad = [lab for lab, c in counts.items() if c != 2]
             raise MalformedDiagram(f"labels must occur exactly twice: {bad[:5]}")
         try:
             sorted(counts)
@@ -80,6 +89,51 @@ def crossing_pairs(seq: Sequence[Label]) -> Iterator[tuple[Label, Label]]:
                 yield (lab, other)
             del active_pos[idx]
             del active_lab[idx]
+
+
+def diagram_mismatch(
+    seq: Sequence[int],
+    adj: Sequence[set[int] | frozenset[int]],
+    nests: dict[int, tuple[int, ...]],
+) -> tuple[int, int]:
+    """(extra, missing): the crossings of the endpoint sequence `seq` that
+    are not edges of `adj`, and the edges of `adj` that are not crossings.
+    `seq` must label each chord exactly twice, as a `ChordDiagram` does.
+
+    `nests` maps a host h to its pendants p1 ... pc, a tuple.  Where `seq`
+    holds the block p1 ... pc h pc ... p1, both endpoints of every p_i lie
+    inside it, so p_i crosses h and nothing else, and taking the p's out
+    leaves every other crossing as it was.  Such a block, confirmed by slice
+    comparisons on `seq` itself, counts c crossings, checked against h's
+    neighbours at once, and leaves only h for `crossing_pairs`.  Every other
+    position, a pendant of a broken block too, goes to `crossing_pairs` as
+    it is, so the count is exact for any `seq`.
+    """
+    lead = {nest[0]: host for host, nest in nests.items() if nest}
+    rest: list[int] = []
+    pairs = extra = 0
+    i, end = 0, len(seq)
+    while i < end:
+        lab = seq[i]
+        host = lead.get(lab)
+        if host is not None:
+            nest = nests[host]
+            c = len(nest)
+            j = i + c  # h's place in a block
+            if j < end and seq[j] == host and seq[i:j] == nest and seq[j + c : j : -1] == nest:
+                pairs += c
+                nb = adj[host]
+                if not nb.issuperset(nest):
+                    extra += c - len(nb.intersection(nest))
+                rest.append(host)
+                i = j + c + 1
+                continue
+        rest.append(lab)
+        i += 1
+    for a, b in crossing_pairs(rest):
+        pairs += 1
+        extra += b not in adj[a]
+    return extra, sum(map(len, adj)) // 2 - (pairs - extra)
 
 
 def intersection_graph(d: ChordDiagram) -> Graph:
@@ -139,8 +193,11 @@ def ds_to_daf(
     4n+3.  Budget 7n(4n+2)+n+k.
 
     Diagram side: the same construction is laid out region by region around
-    the original circle, and the emitted diagram's crossing pairs are checked
-    to equal the emitted graph's edges exactly (labels are the vertex ids).
+    the original circle, each gadget vertex's pendants nested around its
+    first endpoint, and the emitted diagram's crossing pairs are checked to
+    equal the emitted graph's edges exactly (labels are the vertex ids).
+    The check walks every position of the emitted labels; a pendant nest it
+    confirms there counts as one step (the nest lemma, module docstring).
     """
     d = inst.diagram
     n = d.n
@@ -213,15 +270,22 @@ def ds_to_daf(
                 g.add_edge(p, q)
         wire_out[j] = in_tri
 
-    # Forbidden pendants, counted against pre-pendant degrees.
+    # Forbidden pendants, counted against pre-pendant degrees.  They take the
+    # ids from first_forbidden to n; their ints are made once, here, and
+    # shared by the target's forbidden set, the diagram and its check.
     pendant_counts = [(w, g.degree(w)) for w in range(first_clique, last_clique)]
     pendant_counts += [(z, 6) for lab in labels for fan in fans[lab] for z in fan]
     pendant_counts += [(v, 4 * n + 3) for lab in labels for v in twins[lab]]
+    first_forbidden = g.n
     pend_of = {
         host: g.add_family(RoleKind.FORBIDDEN, Indexed((host,), count), join=[host])
         for host, count in pendant_counts
     }
-    forbidden = [p for pend in pend_of.values() for p in pend]
+    forbidden = tuple(range(first_forbidden, g.n))
+    nests = {
+        host: forbidden[ids.start - first_forbidden : ids.stop - first_forbidden]
+        for host, ids in pend_of.items()
+    }
 
     budget = 7 * n * (4 * n + 2) + n + inst.k
     g.freeze()
@@ -250,28 +314,20 @@ def ds_to_daf(
             core.extend(wire_out[j])
         core.extend(ctwo[top])
 
+    # Every core token is a host: its nest wraps its first endpoint.
     tokens: list[int] = []
     opened: set[int] = set()
     for tok in core:
-        if tok not in opened:
+        if tok in opened:
+            tokens.append(tok)
+        else:
             opened.add(tok)
-            nest_ids = pend_of.get(tok)
-            if nest_ids:
-                tokens.extend(nest_ids)
-                tokens.append(tok)
-                tokens.extend(reversed(nest_ids))
-                continue
-        tokens.append(tok)
+            pend = nests[tok]
+            tokens.extend(pend)
+            tokens.append(tok)
+            tokens.extend(reversed(pend))
     diagram = ChordDiagram(tuple(tokens))
-
-    # The sweep yields each crossing once and neither side has a self-pair,
-    # so the crossings that are edges number pairs - extra.
-    adj = g.adjacency()
-    pairs = extra = 0
-    for a, b in crossing_pairs(diagram.labels):
-        pairs += 1
-        extra += b not in adj[a]
-    missing = g.m - (pairs - extra)
+    extra, missing = diagram_mismatch(diagram.labels, g.adjacency(), nests)
     if extra or missing:
         raise AssertionError(
             f"diagram/graph mismatch: {extra} extra, {missing} missing crossings"

@@ -199,14 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except AllianceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    # Parsed and compiled graphs hold no reference cycles, so the cyclic
+    # collector would only walk them again and again while they are built.
+    return harness.call_paused(_run, args)
 
 
 if __name__ == "__main__":

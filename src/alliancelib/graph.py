@@ -7,17 +7,20 @@ finishes it, after which any mutation raises.
 
 Every vertex is made by `add_family` (`add_vertex` and `add_vertices` call
 it without hosts): a run of fresh vertices of one role kind, one per
-payload, each joined to the same hosts.  The graph keeps one `Family`
-record per call: the id range, the kind, the payloads (a list, or an
-`Indexed` run `(*prefix, 0) ... (*prefix, count - 1)`, which builds no
-tuple per vertex), the hosts (a set, or the `range` given) and `joined`,
-the id runs of later families joined to every member.  Roles are read from
-these records alone (`tag`, the writer's `t` lines, `==`, the gadget JSON),
-through `families()`; the parsers make one record per run of equal kinds.
+payload, each joined to the same hosts.  It returns the new ids as a
+`range`, and that range is the run the graph records wherever the family
+is joined, so a compile makes no int object per pendant.  The graph keeps
+one `Family` record per call: the id range, the kind, the payloads (a
+list, or an `Indexed` run `(*prefix, 0) ... (*prefix, count - 1)`, which
+builds no tuple per vertex), the hosts (a set, or the `range` given) and
+`joined`, the id ranges of later families joined to every member.  Roles
+are read from these records alone (`tag`, the writer's `t` lines, `==`,
+the gadget JSON), through `families()`; the parsers make one record per
+run of equal kinds.
 
 Vertex v is adjacent to the hosts and `joined` runs of its family, to its
 explicit neighbours `_edges[v]` (from `add_edge`, and every edge of a parsed
-file) and to the id runs `_links[v]`: the families v hosts through a list
+file) and to the id ranges `_links[v]`: the families v hosts through a list
 join, and the family of a `range` join that covers v's family only in part.
 A `range` join covering a family whole adds one run to its `joined`, which
 is how a compiler joins a hub (`t`, `t'`, the VC apex, the RBDS helpers) to
@@ -118,7 +121,7 @@ class Family:
 
     def __init__(self, ids: range, kind: RoleKind, payloads, hosts, joined=()) -> None:
         self.ids, self.kind, self.payloads, self.hosts = ids, kind, payloads, hosts
-        self.joined: tuple[tuple[int, ...], ...] = joined
+        self.joined: tuple[range, ...] = joined
         self._shared: frozenset[int] | None = None
 
     def payload(self, v: int) -> object:
@@ -134,9 +137,9 @@ class Family:
         return self._shared
 
 
-def _in_runs(v: int, runs: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether v is in one of `runs`, each a run of consecutive ids."""
-    return any(run[0] <= v <= run[-1] for run in runs)
+def _in_runs(v: int, runs: tuple[range, ...]) -> bool:
+    """Whether v is in one of `runs`."""
+    return any(v in run for run in runs)
 
 
 class Graph:
@@ -150,8 +153,8 @@ class Graph:
         # [_bounds[i], _bounds[i + 1]).
         self._bounds = [0]
         self._edges: dict[int, set[int]] = {}  # v -> its explicit neighbours
-        # v -> the id runs joined to v alone
-        self._links: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # v -> the id ranges joined to v alone
+        self._links: dict[int, tuple[range, ...]] = {}
         # Every neighbour set, as `adjacency()` built it since the graph last
         # changed, or None.
         self._adj: list[set[int] | frozenset[int]] | None = None
@@ -162,21 +165,23 @@ class Graph:
     def add_vertex(self, tag: RoleTag = ORIGINAL) -> int:
         return self.add_family(tag.kind, [tag.payload])[0]
 
-    def add_vertices(self, count: int, tag: RoleTag = ORIGINAL) -> list[int]:
+    def add_vertices(self, count: int, tag: RoleTag = ORIGINAL) -> range:
         return self.add_family(tag.kind, repeat(tag.payload, count))
 
     def add_family(
         self, kind: RoleKind, payloads: Iterable[object] | Indexed, join: Iterable[int] = ()
-    ) -> list[int]:
+    ) -> range:
         """One fresh vertex of role `kind` per payload, in order, each joined
-        to every vertex of `join`; returns the new ids.  `payloads` and `join`
-        are each read once, so either may be a generator; an `Indexed` run is
-        kept as it is.  Every host is checked, as `add_edge` would check its
+        to every vertex of `join`; returns the `range` of the new ids, which
+        the graph keeps as the family's run wherever it is joined, so no
+        int object is made per new vertex.  `payloads` and `join` are each
+        read once, so either may be a generator; an `Indexed` run is kept
+        as it is.  Every host is checked, as `add_edge` would check its
         edges to the family, before the graph is touched, so a failed call
         leaves the graph as it was.  A join given as a `range` of existing
         ids skips those checks, which it cannot fail, and is recorded once
-        per family it covers whole; every other host records the new run in
-        its `_links`."""
+        per family it covers whole; every other host records the new range
+        in its `_links`."""
         if self._frozen:
             raise FrozenGraph("graph is frozen")
         if type(payloads) is Indexed:
@@ -187,7 +192,7 @@ class Graph:
         first = self._bounds[-1]
         ids = range(first, first + count)
         if not ids:
-            return []
+            return ids
         if type(join) is range and join.step == 1 and 0 <= join.start and join.stop <= first:
             hosts = join
         else:
@@ -195,20 +200,17 @@ class Graph:
             hosts = frozenset(listed)
             if len(hosts) < len(listed) or listed and (min(listed) < 0 or max(listed) >= first):
                 self._reject(listed, ids)
-        new = list(ids)
         if hosts:
-            # The hosts' sets, once built, hold the same int objects as `new`.
-            run = tuple(new)
             if type(hosts) is range:
-                self._join_range(hosts, run)
+                self._join_range(hosts, ids)
             else:
                 links = self._links
                 for host in hosts:
-                    links[host] = links.get(host, ()) + (run,)
+                    links[host] = links.get(host, ()) + (ids,)
         self._families.append(Family(ids, kind, payloads, hosts))
         self._bounds.append(ids.stop)
         self._adj = None
-        return new
+        return ids
 
     def _reject(self, hosts: list[int], ids: range) -> None:
         """Raise the error `add_edge` would raise for the first bad host."""
@@ -221,7 +223,7 @@ class Graph:
                 raise DuplicateEdge(f"edge ({host},{ids.start}) already present")
             seen.add(host)
 
-    def _join_range(self, hosts: range, run: tuple[int, ...]) -> None:
+    def _join_range(self, hosts: range, run: range) -> None:
         """Join every vertex of `hosts` to `run`: once per family it covers
         whole, and in `_links` for each member of one it covers in part."""
         fams, links = self._families, self._links

@@ -11,13 +11,15 @@ reverse direction of those reductions lives in the extraction maps,
 exercised by the test suite, not here).
 
 `run_equiv_case` turns the cyclic collector off for the whole case, when it
-was on, and back on when the case ends.  A target holds only ints, the
-`Family` records of its graph (each an id range, a role kind, payload
-tuples or an `Indexed` run, hosts and tuples of id runs), the sets built
-from them, and dicts, lists and tuples of these; no record refers back to
-the graph, so it forms no cycle and reference counting frees it when the case
-returns; with the collector on, its passes walked the live target again and
-again (about a quarter of an `mrss` case's time).  Over the harness seeds
+was on, and back on when the case ends (`call_paused`, which `cli.main`
+uses for a whole command).  A target holds only ints, ranges, the `Family`
+records of its graph (each an id range, a role kind, payload tuples or an
+`Indexed` run, hosts and tuples of id ranges), the sets built from them,
+and dicts, lists and tuples of these (a gadget map keeps an id family as
+the range `add_family` returned).  No record refers back to the graph, so
+it forms no cycle and reference counting frees it when the case returns;
+with the collector on, its passes walked the live target again and again
+(about a quarter of an `mrss` case's time).  Over the harness seeds
 20250810-20250825 at default counts, the largest `mrss` target has 65,956
 vertices (19,855 for the default seed), and at least 97.3 % of every `mrss`
 target's vertices are pendants.  The pause spans the case, not the compile
@@ -50,6 +52,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, replace
+from typing import Callable, TypeVar
 
 from .alliances import brute_force_min_da, certifies, target_budget
 from .errors import BadParams
@@ -60,6 +63,7 @@ KINDS = tuple(REDUCTIONS)
 DEFAULT_COUNTS = {"mrss": 25, "rbds": 100, "vc": 100, "ds-circle": 50, "daf": 200}
 DEFAULT_MAX_N = {"mrss": 3, "rbds": 4, "vc": 8, "ds-circle": 3, "daf": 6}
 MEMO_CAP = 1024
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -93,21 +97,28 @@ def _check_kind(kind: str) -> None:
         raise BadParams(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
 
-def run_equiv_case(kind: str, case: int, rng: random.Random, max_n: int) -> EquivReport:
-    """One case of `kind`, with the cyclic collector paused while its target
-    is built, checked and dropped; a collector the caller turned off stays
-    off.  The source is drawn from `rng` on every call; a source this
-    process already decided for the same record returns the stored report
-    with `case` replaced, without compiling anything."""
-    _check_kind(kind)
+def call_paused(fn: Callable[..., T], *args: object) -> T:
+    """`fn(*args)` with the cyclic collector off; it is turned back on
+    after, also on an error, only if it was on before.  A plain call: a
+    generator context manager costs about 1 us more per use, 2-5 % of the
+    harness's `daf` time."""
     paused = gc.isenabled()
     gc.disable()
     try:
-        # The target is a local of `_decide`, so it is dropped inside the pause.
-        return _case(kind, case, rng, max_n)
+        return fn(*args)
     finally:
         if paused:
             gc.enable()
+
+
+def run_equiv_case(kind: str, case: int, rng: random.Random, max_n: int) -> EquivReport:
+    """One case of `kind`, with the cyclic collector paused while its target
+    is built, checked and dropped.  The source is drawn from `rng` on every
+    call; a source this process already decided for the same record returns
+    the stored report with `case` replaced, without compiling anything."""
+    _check_kind(kind)
+    # The target is a local of `_decide`, so it is dropped inside the pause.
+    return call_paused(_case, kind, case, rng, max_n)
 
 
 # (record, source text) -> the report of the first case that drew it.

@@ -38,10 +38,10 @@ def _json(obj: object, depth: int) -> str:
     if type(obj) is int:
         return int.__repr__(obj)
     sep = ",\n" + " " * (depth + 1)
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, range)):  # a range is written as the list it spells
         if not obj:
             return "[]"
-        if all(type(x) is int for x in obj):
+        if type(obj) is range or all(type(x) is int for x in obj):
             body = sep.join(map(int.__repr__, obj))
         else:
             body = sep.join([_json(x, depth + 1) for x in obj])
@@ -62,7 +62,8 @@ class GadgetMap:
     `graph` is the compiled target graph, whose vertex tags are the roles;
     `families` maps family names (as used by the construction, e.g. "H",
     "x_center", "cycles") to JSON-like values indexed the same way as the
-    source instance: single ids, id lists and nested id lists, dicts keyed
+    source instance: single ids, id ranges (as `Graph.add_family` returns
+    them, written as lists), id lists and nested lists of these, dicts keyed
     by source label (`ds-circle`), integer parameters (`N`, `ell`) and
     lists of id pairs (`pairs`, `source_edges`).
     """
@@ -73,7 +74,7 @@ class GadgetMap:
 
     def to_json(self) -> str:
         """The `.gadgets.json` text: `{"families", "kind", "roles"}`, keys
-        sorted, one-space indent, dict keys as strings, tuples as lists;
+        sorted, one-space indent, dict keys as strings, tuples and ranges as lists;
         `roles` maps each vertex id, in string order, to its tag's kind and
         payload.  Byte-equal to `json.dumps` of that object with
         `sort_keys=True, indent=1`, plus a newline, written family by family
@@ -187,7 +188,7 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
 
     g = Graph()
     u = g.add_family(RoleKind.OTHER, [("u", i) for i in range(k)])
-    squares_u: list[list[int]] = []
+    squares_u: list[range] = []
     for i in range(k):
         col = sum(s[i] for s in vecs)
         size = col + 2 * big_n - 2 * (col - target[i])
@@ -202,11 +203,11 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     ]
 
     # Consecutive pairs in the cyclic order u_1..u_k, f_1, f_2, f_3, u_1.
-    ring = u + f
+    ring = [*u, *f]
     pairs = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-    hub_h: list[list[int]] = []
+    hub_h: list[range] = []
     hub_h0: list[int] = []
-    squares_h0: list[list[int]] = []
+    squares_h0: list[range] = []
     for p, pair in enumerate(pairs):
         hs = g.add_family(RoleKind.HUB_H, Indexed((p,), big_n), join=pair)
         [h0] = g.add_family(RoleKind.HUB_H0, [p], join=hs)
@@ -221,9 +222,9 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     )
 
     x_center: list[int] = []
-    a_leaves: list[list[int]] = []
+    a_leaves: list[range] = []
     y_center: list[int] = []
-    b_leaves: list[list[int]] = []
+    b_leaves: list[range] = []
     for si, s in enumerate(vecs):
         width = max(s) + 1
         [xc] = g.add_family(RoleKind.STAR_CENTER, [("x", si)])
@@ -257,7 +258,7 @@ def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
     first_pendant = g.n
     pendants = {
         x: g.add_family(RoleKind.PENDANT, Indexed((x,), 2 * budget + 2), join=[x])
-        for x in t_side + h_square + a_square
+        for x in [*t_side, *h_square, *a_square]
     }
     t_prime_side = range(pendants[h_square[0]][0], g.n)
     [t] = g.add_family(RoleKind.T_VERTEX, [0], join=range(first_pendant, t_prime_side.start))
@@ -380,7 +381,7 @@ def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
     first_blanket = g.n
     blanket = {
         host: g.add_family(RoleKind.PENDANT, Indexed((host,), 4 * ell), join=[host])
-        for host in t1 + t2
+        for host in [*t1, *t2]
     }
     blanketed = range(first_blanket, g.n)
     # a also watches S1, the ns ids just before the blanket; a and b watch T0.
@@ -399,7 +400,7 @@ def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
 
     # x* also takes the |S| lowest-index blanket vertices of the first T1 copy.
     [xstar] = g.add_family(
-        RoleKind.OTHER, ["xstar"], join=s1 + (blanket[t1[0]][:ns] if t1 else [])
+        RoleKind.OTHER, ["xstar"], join=[*s1, *(blanket[t1[0]][:ns] if t1 else ())]
     )
 
     g.freeze()
@@ -439,7 +440,7 @@ def rbds_cover_set(gm: GadgetMap) -> frozenset[int]:
     """The vertex set T0 u T1 u T2 u {a,b,c,x*} of size 3|T|+4 that covers G'."""
     fam = gm.families
     return frozenset(
-        fam["T0"] + fam["T1"] + fam["T2"] + [fam["a"], fam["b"], fam["c"], fam["xstar"]]
+        [*fam["T0"], *fam["T1"], *fam["T2"], fam["a"], fam["b"], fam["c"], fam["xstar"]]
     )
 
 
@@ -508,7 +509,7 @@ def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:
         for i, (a, b) in enumerate(edges)
     ]
 
-    cycles: list[list[int]] = []
+    cycles: list[range] = []
     for i in range(m):
         flanks = {i, (i + 1) % m}
         cyc = g.add_family(
@@ -520,7 +521,7 @@ def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:
 
     # Five of the eight helpers F also watch every cycle vertex.
     fs = g.add_family(RoleKind.F_VERTEX, range(5), join=ys + [v for cyc in cycles for v in cyc])
-    fs += g.add_family(RoleKind.F_VERTEX, range(5, 8), join=ys)
+    fs = [*fs, *g.add_family(RoleKind.F_VERTEX, range(5, 8), join=ys)]
     first_pendant = g.n
     vf = [
         g.add_family(RoleKind.PENDANT, Indexed((fv,), 4 * budget), join=[fv])

@@ -1,6 +1,5 @@
 import itertools
 import random
-from functools import partial
 
 import pytest
 
@@ -134,35 +133,106 @@ def test_ds_to_daf_diagram_graph_coherence():
         assert list(ig.edges()) == list(daf.graph.edges())
 
 
+def _edit_last_nest(labels, edit):
+    """`labels` with the two innermost pendants q, p of the last host's nest,
+    the five labels q p h p q, rewritten as `edit` orders them."""
+    p = max(labels)  # the last pendant is its nest's innermost
+    q = p - 1  # a pendant of the same host, so not adjacent to p
+    at = labels.index(q)
+    window = labels[at : at + 5]
+    assert window == (q, p, window[2], p, q)
+    names = {"q": q, "p": p, "h": window[2]}
+    return labels[:at] + tuple(names[x] for x in edit) + labels[at + 5 :]
+
+
 def test_ds_to_daf_self_check_failure(monkeypatch):
-    # Edit the crossings of the emitted diagram only: its labels are vertex
-    # ids, while the source chords here are strings.  The two highest ids are
-    # forbidden pendants of one twin, and pendants of one host are not
-    # adjacent, so that pair is a non-edge.
-    real = circle.crossing_pairs
-
-    def drop_one(pairs, non_edge):
-        next(pairs)
-        return pairs
-
-    def add_one(pairs, non_edge):
-        return itertools.chain(pairs, [non_edge])
-
-    def swap_one(pairs, non_edge):
-        next(pairs)
-        return itertools.chain([non_edge], pairs)
-
-    def patched(seq, edit):
-        if isinstance(seq[0], int):
-            return edit(real(seq), (max(seq), max(seq) - 1))
-        return real(seq)
-
-    cases = [(drop_one, 0, 1), (add_one, 1, 0), (swap_one, 1, 1)]
+    # The emitted diagram itself is edited before the check reads it.  p
+    # moved off its host crosses nothing (one edge missing); p and q made to
+    # interleave inside the nest add the non-edge p-q; p moved to cross q
+    # alone swaps the edge p-h for that non-edge.
+    real = circle.ChordDiagram
+    cases = [("qhqpp", 0, 1), ("qphqp", 1, 0), ("qhpqp", 1, 1)]
     for edit, extra, missing in cases:
-        monkeypatch.setattr(circle, "crossing_pairs", partial(patched, edit=edit))
+
+        def edited(labels, edit=edit):
+            if isinstance(labels[0], int):  # the emitted diagram, not the source
+                labels = _edit_last_nest(labels, edit)
+            return real(labels)
+
+        monkeypatch.setattr(circle, "ChordDiagram", edited)
         message = f"^diagram/graph mismatch: {extra} extra, {missing} missing crossings$"
         with pytest.raises(AssertionError, match=message):
             ds_to_daf(DSCircleInstance(K3_DIAGRAM, 1))
+    monkeypatch.setattr(circle, "ChordDiagram", real)
+    ds_to_daf(DSCircleInstance(K3_DIAGRAM, 1))  # the emitted diagram passes
+
+
+def _crossing_count_mismatch(labels, adj):
+    """(extra, missing) by enumerating every crossing pair."""
+    pairs = extra = 0
+    for a, b in circle.crossing_pairs(labels):
+        pairs += 1
+        extra += b not in adj[a]
+    return extra, sum(map(len, adj)) // 2 - (pairs - extra)
+
+
+def _mutate(rng, labels):
+    """`labels` after one random swap, move, reversal, rotation or block move."""
+    lab, size = list(labels), len(labels)
+    op = rng.randrange(5)
+    if op == 0:
+        a, b = rng.randrange(size), rng.randrange(size)
+        lab[a], lab[b] = lab[b], lab[a]
+    elif op == 1:
+        lab.insert(rng.randrange(size), lab.pop(rng.randrange(size)))
+    elif op == 2:
+        a, b = sorted(rng.sample(range(size + 1), 2))
+        lab[a:b] = lab[a:b][::-1]
+    elif op == 3:
+        r = rng.randrange(size)
+        lab = lab[r:] + lab[:r]
+    else:
+        a = rng.randrange(size)
+        block = lab[a : a + rng.randint(1, 40)]
+        del lab[a : a + len(block)]
+        at = rng.randrange(len(lab) + 1)
+        lab[at:at] = block
+    return tuple(lab)
+
+
+class _Reads(list):
+    """A neighbour-set list that records which vertices' sets are read."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.seen = set()
+
+    def __getitem__(self, v):
+        self.seen.add(v)
+        return super().__getitem__(v)
+
+
+def test_diagram_mismatch_matches_full_enumeration():
+    # Mutants of emitted diagrams, most of them real mismatches, some of
+    # them moving whole nests or breaking one: the nest walker counts the
+    # same extra and missing crossings as the full sweep.
+    rng = random.Random(23)
+    real = 0
+    for _ in range(60):
+        daf, diagram, gm = ds_to_daf(DSCircleInstance(random_diagram(rng, rng.randint(1, 4)), 1))
+        adj = daf.graph.adjacency()
+        nests = {host: tuple(ids) for host, ids in gm.families["pendants"].items()}
+        # On the emitted diagram every nest is taken in one step: no
+        # pendant's neighbour set is read.
+        read = _Reads(adj)
+        assert circle.diagram_mismatch(diagram.labels, read, nests) == (0, 0)
+        assert read.seen and read.seen.isdisjoint(daf.forbidden)
+        for _ in range(5):
+            labels = ChordDiagram(_mutate(rng, diagram.labels)).labels
+            want = _crossing_count_mismatch(labels, adj)
+            assert circle.diagram_mismatch(labels, adj, nests) == want
+            real += want != (0, 0)
+    assert real > 200
 
 
 def test_ds_to_daf_vertex_count_audit():

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 
 import pytest
 
+from alliancelib import cli
 from alliancelib.cli import main
 from alliancelib.graph import parse_graph
 from alliancelib.kinds import REDUCTIONS
@@ -38,6 +40,31 @@ def test_check_rejections(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad), "--set", "0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_and_restores_collector(tmp_path, capsys, monkeypatch, enabled):
+    # A command runs with the cyclic collector off and leaves it as it found
+    # it, on a normal exit and on an exit-2 error alike.
+    good, bad = tmp_path / "c4.graph", tmp_path / "bad.graph"
+    good.write_text(C4)
+    bad.write_text("p da 1 5\n")
+    inside, after = [], []
+
+    def spy(text, real=cli.parse_graph):
+        inside.append(gc.isenabled())
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_graph", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for path, code in ((good, 0), (bad, 2)):
+            assert run(capsys, "check", str(path), "--set", "0,1")[0] == code
+            after.append(gc.isenabled())
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False, False] and after == [enabled, enabled]
 
 
 def test_solve(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 The `.gadgets.json` layout is pinned: it is what `json.dumps(..., sort_keys=
 True, indent=1)` makes of `{"kind", "roles", "families"}`, with the family
-dict keys passed through `str()` and tuples written as lists.  `reference_json`
-builds that object and calls the standard encoder; every test here compares
-`to_json()` with it, on drawn maps and on compiled targets.
+dict keys passed through `str()` and tuples and ranges written as lists.
+`reference_json` builds that object and calls the standard encoder; every
+test here compares `to_json()` with it, on drawn maps and on compiled
+targets.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ def reference_json(gm: GadgetMap) -> str:
     """The gadget map through the standard library's encoder (the oracle)."""
 
     def encode(obj: object) -> object:
-        if isinstance(obj, (list, tuple)):
+        if isinstance(obj, (list, tuple, range)):  # the compilers' id families are ranges
             return [encode(x) for x in obj]
         if isinstance(obj, dict):
             return {str(k): encode(v) for k, v in obj.items()}
@@ -69,10 +70,14 @@ def sequences(children):
     return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple))
 
 
+# An id range, as `Graph.add_family` returns it; some are empty.
+RANGES = st.builds(range, st.integers(-3, 20), st.integers(-3, 40))
 FAMILIES = st.dictionaries(
     KEYS,
     st.recursive(
-        SCALARS, lambda c: sequences(c) | st.dictionaries(KEYS, c, max_size=4), max_leaves=20
+        SCALARS | RANGES,
+        lambda c: sequences(c) | st.dictionaries(KEYS, c, max_size=4),
+        max_leaves=20,
     ),
     max_size=5,
 )
@@ -102,6 +107,7 @@ def gadget_map(kind: str, roles: list, families: dict) -> GadgetMap:
 @example("mrss", [], {})
 @example("x", [(RoleKind.OTHER, ("x", (1, 2), []))] * 12, {1: "int", "1": "str", (): 0})
 @example("y", [(RoleKind.PENDANT, (-3, True, 0))], {"d": {2: [], "10": {}, "2": [[]]}})
+@example("r", [], {"p": {3: range(4, 7), 1: range(2, 2)}, "ids": range(0, 3), "l": [range(1, 2)]})
 @example("z", [(RoleKind.SQUARE, Indexed(("u", 1.5, True, [], ()), 11))], {})
 def test_to_json_matches_json_dumps(kind, roles, families):
     gm = gadget_map(kind, roles, families)

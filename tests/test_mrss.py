@@ -2,7 +2,7 @@ import pytest
 
 from alliancelib.alliances import is_defensive_alliance
 from alliancelib.errors import InvalidInstance, ParseError, TooLarge
-from alliancelib.graph import is_bipartite, is_star_forest_after_deletion, write_graph
+from alliancelib.graph import RoleKind, is_bipartite, is_star_forest_after_deletion, write_graph
 from alliancelib.reductions import (
     MRSSInstance,
     mrss_extract_certificate,
@@ -122,6 +122,22 @@ def test_family_cardinality_audit():
     stars = sum(2 * (max(s) + 1) + 2 for s in FIG1.vectors)
     total = squares * (2 * da.k + 2 + 1) + hubs + stars + 2
     assert da.graph.n == total
+
+
+def test_pendant_families_are_ranges():
+    # Every pendant family is the id range `add_family` returned, and the
+    # graph records that range wherever it is joined: no host holds a tuple
+    # of pendant ids, so the compile made no int object per pendant.
+    da, gm = mrss_to_da(FIG1)
+    g, pendants = da.graph, gm.families["pendants"]
+    assert all(type(p) is range and len(p) == 2 * da.k + 2 for p in pendants.values())
+    runs = [run for runs in g._links.values() for run in runs]
+    runs += [run for fam in g.families() for run in fam.joined]
+    assert runs and all(type(run) is range for run in runs)
+    assert all(any(run is pendants[x] for run in g._links[x]) for x in pendants)
+    assert sum(map(len, pendants.values())) == sum(
+        len(f.ids) for f in g.families() if f.kind is RoleKind.PENDANT
+    )
 
 
 def test_square_vertices_filtered_at_budget():
