@@ -3,13 +3,29 @@
 A nonempty vertex set S is a defensive alliance when every member has, with
 itself, at least as many defenders as attackers: deg_in(v,S)+1 >= deg(v) -
 deg_in(v,S).  The empty set is never an alliance.
+
+Every exhaustive oracle runs on `first_subset`, which tries sizes in order
+and, within a size, subsets in lexicographic order, so it returns the
+smallest passing subset, then the lexicographically first.  An oracle may
+hand it, per size, the pool of items a passing subset of that size can hold;
+leaving out only items that cannot pass keeps the answer.  Two exact bounds
+give the pools:
+
+- a cover (`first_cover`: vertex cover, red-blue and circle domination)
+  ORs one bitmask per item, so s items cover at most the sum of the s largest
+  popcounts; a size whose sum falls short of the whole mask is skipped;
+- an alliance member v needs deg(v) // 2 defenders among the other s - 1
+  members, so `brute_force_min_da` draws size s only from the vertices with
+  deg(v) // 2 < s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations
 from math import comb
+from operator import or_
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import InvalidInstance, TooLarge
@@ -116,15 +132,49 @@ def is_daf_feasible(inst: DAFInstance, s: Iterable[int]) -> bool:
 
 
 def first_subset(
-    items: Sequence[int], max_size: int, ok: Callable[[set[int]], bool]
+    items: Sequence[int],
+    max_size: int,
+    ok: Callable[[tuple[int, ...]], bool],
+    pool: Callable[[int], Sequence[int]] | None = None,
 ) -> tuple[int, ...] | None:
     """Lexicographically first subset of `items` satisfying `ok`, trying
-    sizes 0..max_size in order: the search behind every exhaustive oracle."""
+    sizes 0..max_size in order: the search behind every exhaustive oracle.
+    `ok` gets the subset as a tuple in `items` order.
+
+    `pool(size)`, when given, lists the items that subsets of that size are
+    drawn from, in `items` order; a pool with fewer items than the size
+    skips it.  Within a size, `combinations` over such a subsequence meets
+    the passing subsets in the order it would over `items`, so a pool that
+    leaves out only items in no passing subset of its size changes no
+    answer."""
     for size in range(min(max_size, len(items)) + 1):
-        for subset in combinations(items, size):
-            if ok(set(subset)):
+        for subset in combinations(items if pool is None else pool(size), size):
+            if ok(subset):
                 return subset
     return None
+
+
+def first_cover(masks: Sequence[int], full: int, max_size: int) -> tuple[int, ...] | None:
+    """Lexicographically first of the smallest index tuples, of size at most
+    `max_size`, whose `masks` OR to `full`; every mask must lie inside `full`.
+
+    A bit that no mask holds cannot be covered.  Otherwise s masks cover at
+    most the sum of the s largest popcounts, so every size whose sum is
+    short of `full`'s popcount is skipped: no subset of that size can pass.
+    Nothing to cover is the empty cover, found at size 0."""
+    if full & ~reduce(or_, masks, 0):
+        return None
+    need = full.bit_count()
+    reach = list(accumulate(sorted([m.bit_count() for m in masks], reverse=True), initial=0))
+    items = range(len(masks))
+
+    def covers(subset: tuple[int, ...]) -> bool:
+        got = 0
+        for i in subset:
+            got |= masks[i]
+        return got == full
+
+    return first_subset(items, max_size, covers, lambda size: items if reach[size] >= need else ())
 
 
 def brute_force_min_da(
@@ -138,7 +188,13 @@ def brute_force_min_da(
     id order, so the returned witness is canonical.  With `max_size` the
     enumeration stops at that cardinality (a budget-capped feasibility
     oracle); without it the graph must have at most BRUTE_FORCE_LIMIT vertices.
-    A forbidden id outside the graph raises `UnknownVertex`.
+    A forbidden id outside the graph raises `UnknownVertex`.  Both guards
+    count every subset of the allowed vertices, as if no pool were cut.
+
+    Size s draws only from the allowed vertices with deg(v) // 2 < s: a
+    member v of an alliance S needs deg(v) // 2 defenders (2 * deg_in + 1 >=
+    deg), all among the other s - 1 members, so no other vertex is in any
+    alliance of size s.
     """
     banned = frozenset(forbidden)
     _check_ids(g, banned)
@@ -152,9 +208,12 @@ def brute_force_min_da(
         if work > _ORACLE_WORK_LIMIT:
             raise TooLarge(f"capped brute force would enumerate {work} subsets")
     adj = g.adjacency()
-    found = first_subset(pool, top, lambda chosen: bool(chosen) and all(
-        2 * len(adj[v] & chosen) + 1 >= len(adj[v]) for v in chosen
-    ))
+    need = [len(nb) // 2 for nb in adj]
+
+    def alliance(subset: tuple[int, ...]) -> bool:
+        return bool(subset) and all(len(adj[v].intersection(subset)) >= need[v] for v in subset)
+
+    found = first_subset(pool, top, alliance, lambda size: [v for v in pool if need[v] < size])
     return None if found is None else Witness(found)
 
 

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, first_subset
+from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, first_cover
 from .errors import (
     InvalidInstance,
     MalformedDiagram,
@@ -161,15 +161,21 @@ class DSCircleInstance:
 
 
 def solve_ds_bruteforce(inst: DSCircleInstance) -> tuple[Label, ...] | None:
-    """Lexicographically first dominating set (as chord labels) of size <= k."""
+    """Lexicographically first of the smallest dominating sets (as chord
+    labels) of size <= k: a cover (`first_cover`) of the chords by each
+    chord's closed neighbourhood in `intersection_graph`'s numbering, as a
+    bitmask."""
     d = inst.diagram
     if d.n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"DS brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
-    g = intersection_graph(d)
-    chords, adj = d.chords(), g.adjacency()
-    found = first_subset(range(g.n), inst.k, lambda chosen: all(
-        v in chosen or adj[v] & chosen for v in g.vertices()
-    ))
+    chords = d.chords()
+    ids = {lab: i for i, lab in enumerate(chords)}
+    masks = [1 << i for i in range(len(chords))]
+    for a, b in crossing_pairs(d.labels):
+        i, j = ids[a], ids[b]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    found = first_cover(masks, (1 << len(chords)) - 1, inst.k)
     return None if found is None else tuple(chords[i] for i in found)
 
 
@@ -189,7 +195,8 @@ def ds_to_daf(
     endpoint regions are welded following the circle traversal (x-cliques at
     first occurrences, y-cliques at second); finally every gadget vertex gets
     a nest of degree-one forbidden pendants sized to pin it: clique vertices
-    get as many pendants as their current degree, fan members six, twins
+    get as many pendants as their degree so far (counted from the
+    construction, not read back from the graph), fan members six, twins
     4n+3.  Budget 7n(4n+2)+n+k.
 
     Diagram side: the same construction is laid out region by region around
@@ -229,9 +236,7 @@ def ds_to_daf(
     }
 
     # Every fan member hosts two triangles, one of each clique chain, each
-    # joined to its host and to its chain's previous triangle; the clique
-    # vertices take the id range [first_clique, last_clique).
-    first_clique = g.n
+    # joined to its host and to its chain's previous triangle.
     c1: dict[Label, list[list[list[int]]]] = {}
     c2: dict[Label, list[list[list[int]]]] = {}
     for lab in labels:
@@ -246,7 +251,6 @@ def ds_to_daf(
                     g.add_edge(a, c)
                     g.add_edge(b, c)
                     tris.append([a, b, c])
-    last_clique = g.n
 
     # Chain-end welds along the traversal sequence.  A pair contributes when
     # its occurrence pattern is (first,first), (second,second) or
@@ -259,21 +263,34 @@ def ds_to_daf(
         side_of.append(int(lab in seen))
         seen.add(lab)
     wire_out: list[list[int] | None] = [None] * len(seq)
+    welded: set[int] = set()  # the first vertex of every welded triangle
     for j in range(len(seq)):
         jn = (j + 1) % len(seq)
         u, w = seq[j], seq[jn]
         if u == w or (side_of[j], side_of[jn]) == (1, 0):
             continue
-        in_tri = c1[w][side_of[jn]][top]
-        for p in c2[u][side_of[j]][top]:
+        out_tri, in_tri = c2[u][side_of[j]][top], c1[w][side_of[jn]][top]
+        for p in out_tri:
             for q in in_tri:
                 g.add_edge(p, q)
         wire_out[j] = in_tri
+        welded.update((out_tri[0], in_tri[0]))
 
     # Forbidden pendants, counted against pre-pendant degrees.  They take the
     # ids from first_forbidden to n; their ints are made once, here, and
-    # shared by the target's forbidden set, the diagram and its check.
-    pendant_counts = [(w, g.degree(w)) for w in range(first_clique, last_clique)]
+    # shared by the target's forbidden set, the diagram and its check.  A
+    # clique vertex's degree is fixed by the construction: 2 in its triangle,
+    # 1 for its host, 3 for its chain's previous triangle, 3 for the next,
+    # and 3 for a weld (a chain's top triangle has at most one).  The
+    # triangles are listed in id order.
+    pendant_counts = [
+        (w, 3 + 3 * (i > 0) + 3 * (i < top) + 3 * (tri[0] in welded))
+        for lab in labels
+        for side in (0, 1)
+        for i in range(m_per_fan)
+        for tri in (c1[lab][side][i], c2[lab][side][i])
+        for w in tri
+    ]
     pendant_counts += [(z, 6) for lab in labels for fan in fans[lab] for z in fan]
     pendant_counts += [(v, 4 * n + 3) for lab in labels for v in twins[lab]]
     first_forbidden = g.n

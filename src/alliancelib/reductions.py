@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
-from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance, first_subset
+from .alliances import BRUTE_FORCE_LIMIT, DAFInstance, DAInstance, first_cover, first_subset
 from .errors import DegreeTooHigh, InvalidInstance, ParseError, TooLarge, reader
 from .graph import Graph, Indexed, RoleKind, parse_graph, read_rows, write_graph
 
@@ -151,13 +152,25 @@ class MRSSInstance:
 
 
 def solve_mrss_bruteforce(inst: MRSSInstance) -> tuple[int, ...] | None:
-    """Lexicographically first subset of size <= kprime with sum >= target."""
+    """Lexicographically first of the smallest subsets of size <= kprime
+    with sum >= target.
+
+    Entries are non-negative, so in each dimension s vectors sum to at most
+    its s largest entries; a size at which some dimension's s largest
+    entries fall short of the target is skipped, since no subset of it
+    passes."""
     n = len(inst.vectors)
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"MRSS brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
-    return first_subset(range(n), inst.kprime, lambda chosen: all(
-        sum(inst.vectors[i][d] for i in chosen) >= t for d, t in enumerate(inst.target)
-    ))
+    cols = [(col, t) for col, t in zip(zip(*inst.vectors), inst.target) if t]
+    tops = [(list(accumulate(sorted(col, reverse=True), initial=0)), t) for col, t in cols]
+    items = range(n)
+    return first_subset(
+        items,
+        inst.kprime,
+        lambda subset: all(sum(map(col.__getitem__, subset)) >= t for col, t in cols),
+        lambda size: items if all(top[size] >= t for top, t in tops) else (),
+    )
 
 
 def mrss_to_da(inst: MRSSInstance) -> tuple[DAInstance, GadgetMap]:
@@ -348,15 +361,16 @@ class RBDSInstance:
 
 
 def solve_rbds_bruteforce(inst: RBDSInstance) -> tuple[int, ...] | None:
-    """Lexicographically first source subset of size <= k dominating all terminals."""
+    """Lexicographically first of the smallest source subsets of size <= k
+    dominating all terminals: a cover (`first_cover`) of the terminals by
+    each source's bitmask of neighbours.  A terminal with no source leaves
+    no answer; zero terminals give the empty set."""
     if inst.n_sources > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"RBDS brute force guarded at |S| <= {BRUTE_FORCE_LIMIT}")
-    nbrs = [set() for _ in range(inst.n_terminals)]
+    masks = [0] * inst.n_sources
     for t, s in inst.edges:
-        nbrs[t].add(s)
-    return first_subset(
-        range(inst.n_sources), inst.k, lambda chosen: all(nb & chosen for nb in nbrs)
-    )
+        masks[s] |= 1 << t
+    return first_cover(masks, (1 << inst.n_terminals) - 1, inst.k)
 
 
 def rbds_to_da(inst: RBDSInstance) -> tuple[DAInstance, GadgetMap]:
@@ -464,21 +478,26 @@ class VC3Instance:
             raise InvalidInstance("budget must be >= 0")
         if self.k > self.graph.n:
             raise InvalidInstance("budget must be <= the number of vertices")
-        for v in self.graph.vertices():
-            if self.graph.degree(v) > 3:
-                raise DegreeTooHigh(f"vertex {v} has degree {self.graph.degree(v)} > 3")
+        for v, nb in enumerate(self.graph.adjacency()):
+            if len(nb) > 3:
+                raise DegreeTooHigh(f"vertex {v} has degree {len(nb)} > 3")
 
 
 def solve_vc_bruteforce(inst: VC3Instance) -> tuple[int, ...] | None:
-    """Lexicographically first vertex cover of size <= k (the empty cover is
-    legitimate on an edgeless graph)."""
+    """Lexicographically first of the smallest vertex covers of size <= k
+    (the empty cover is legitimate on an edgeless graph): a cover
+    (`first_cover`) of the edges, numbered in `edges()` order, by each
+    vertex's bitmask of incident edges."""
     g = inst.graph
     if g.n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"VC brute force guarded at n <= {BRUTE_FORCE_LIMIT}")
-    edges = list(g.edges())
-    return first_subset(
-        range(g.n), inst.k, lambda chosen: all(u in chosen or v in chosen for u, v in edges)
-    )
+    masks = [0] * g.n
+    bit = 1
+    for u, v in g.edges():
+        masks[u] |= bit
+        masks[v] |= bit
+        bit <<= 1
+    return first_cover(masks, bit - 1, inst.k)
 
 
 def vc_to_da(inst: VC3Instance) -> tuple[DAInstance, GadgetMap]:

@@ -284,6 +284,22 @@ def test_ds_to_daf_pendant_balance():
             assert len(g.neighbors(v) & forb) == 4 * n + 3
 
 
+def test_ds_to_daf_clique_pendants_match_degrees():
+    # A clique vertex's nest is sized from the construction (triangle, host,
+    # chain neighbours, weld); it must equal the degree the vertex has
+    # without it, read back from the compiled graph.
+    rng = random.Random(24)
+    for n in range(1, 7):
+        for _ in range(3):
+            daf, _, gm = ds_to_daf(DSCircleInstance(random_diagram(rng, n), 1))
+            g, pendants = daf.graph, gm.families["pendants"]
+            for key in ("cliques_x1", "cliques_x2", "cliques_y1", "cliques_y2"):
+                for tris in gm.families[key].values():
+                    for tri in tris:
+                        for v in tri:
+                            assert g.degree(v) - len(pendants[v]) == len(pendants[v])
+
+
 def test_ds_certificates():
     for tokens in (("a", "b", "c", "a", "b", "c"), ("a", "a"), ("a", "b", "a", "b")):
         d = ChordDiagram(tokens)
