@@ -397,7 +397,7 @@ def ds_extract_certificate(gm: GadgetMap, d_set: Iterable[int]) -> frozenset[Lab
 
 
 def write_diagram(d: ChordDiagram) -> str:
-    return "d " + " ".join(str(lab) for lab in d.labels) + "\n"
+    return "d " + " ".join(map(str, d.labels)) + "\n"
 
 
 def _parse_tokens(tokens: list[str]) -> tuple[Label, ...]:

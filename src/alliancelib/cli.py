@@ -47,11 +47,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     forbidden = parse_id_list(args.forbidden, g.n)
     protected = []
     for v in sorted(members):
-        inside = g.deg_in(v, members)
-        outside = g.degree(v) - inside
+        nb = g.neighbors(v)
+        deg, inside = len(nb), len(nb & members)
+        outside = deg - inside
         protected.append(inside + 1 >= outside)
         status = "protected" if protected[-1] else "UNPROTECTED"
-        print(f"v={v} deg={g.degree(v)} in={inside} out={outside} {status}")
+        print(f"v={v} deg={deg} in={inside} out={outside} {status}")
     clash = sorted(members & forbidden)
     if clash:
         print(f"forbidden members: {clash}")

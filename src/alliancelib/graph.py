@@ -31,25 +31,33 @@ and `m` count the parts by length, so none of them builds a set.
 
 A neighbour set is built when it is read, from its family's shared set:
 `neighbors(v)` builds v's alone, and `adjacency()`, the accessor for
-readers of the whole graph (`edges`, `==`, the writer, the solvers, the
-structural checks, the circle self-check and oracle), builds them all and
-keeps them until the graph next changes.  Every member of a family without
+readers of the whole graph (`edges`, `==`, the solvers, the structural
+checks, the circle self-check and oracle), builds them all and keeps them
+until the graph next changes.  Every member of a family without
 edges or links of its own gets the family's one frozenset, which the
 family keeps.  Hardness targets are almost all pendants (97.3 % or more of
 every harness `mrss` target), and the harness reads only the certificate
 members' sets, so it never builds the sets of an `mrss` target's squares
 or of `t` and `t'`.  Since ids follow creation order, a compiler must
 create its families in the order that numbers them.
+
+The text format is written and read by the run, too.  `write_graph` makes
+one pass over the records and builds no neighbour set for a member with no
+parts of its own: hosts are older ids, so above it are exactly its
+family's `joined` runs, and a run of such members gets its edge lines from
+one join over its id strings.  `parse_graph` reads the writer's layout in
+bulk, and its tag lines run by run, one record per run of equal kinds.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -481,22 +489,81 @@ def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
 # The writer is canonical: edges sorted ascending, one tag line for every
 # vertex whose role is not "original".
 
+# Canonical spellings of the ids of small graphs, shared by every call.
+_SMALL_NAMES = list(map(str, range(1024)))
+_SMALL_IDS = dict(zip(_SMALL_NAMES, range(1024)))
+
+
+def _names(n: int) -> list[str]:
+    """The canonical spelling of every id below n, indexed by id."""
+    return _SMALL_NAMES if n <= len(_SMALL_NAMES) else list(map(str, range(n)))
+
 
 def write_graph(g: Graph) -> str:
-    lines = [""]  # the header, once the edge lines have counted m
-    lines.extend([f"e {u} {v}" for u, nb in enumerate(g.adjacency()) for v in sorted(nb) if u < v])
-    lines[0] = f"p da {g.n} {len(lines) - 1}"
-    for fam in g.families():
+    """The canonical text of g, written in one pass over its family records.
+    Hosts are older ids, so a member with no edges or links of its own has
+    exactly its family's `joined` runs above it: each maximal run of such
+    members gets its edge lines from one join over its id strings.  A
+    member with parts of its own (a hub, a square, every vertex of a parsed
+    or `build_graph` graph) gets one join of its sorted neighbours above
+    it, read from its parts.  Each family that is not `original` gets its
+    tag lines from one join."""
+    n, edges, links = g.n, g._edges, g._links
+    names = _names(n)
+    name_of = names.__getitem__
+    own = sorted(edges.keys() | links.keys())
+    lines, tags = [""], []  # the header, once the edge lines have counted m
+    m = i = 0
+    for fam in g._families:
+        start, stop = fam.ids.start, fam.ids.stop
+        joined = fam.joined
+        above = [*map(name_of, chain(*joined))]
+        j = bisect_left(own, stop, i)
+        for v in own[i:j] + [stop]:
+            if above and start < v:
+                m += len(above) * (v - start)
+                lines.append(_joined_lines(names[start:v], above))
+            if v == stop:
+                break
+            if joined or v in links:  # v's parts but its hosts, which lie below v
+                nb = chain(edges.get(v, ()), *joined, *links.get(v, ()))
+            else:
+                nb = edges[v]
+            s = sorted(nb)
+            cut = bisect_right(s, v)
+            if cut == len(s) - 1:
+                lines.append(f"e {v} {s[cut]}\n")
+            elif cut < len(s):
+                head = f"e {v} "
+                lines.append(head + f"\n{head}".join(map(name_of, s[cut:])) + "\n")
+            m += len(s) - cut
+            start = v + 1
+        i = j
         if fam.kind is not RoleKind.ORIGINAL:
             # `_value_` is the member's stored name; `.value` is a Python-level property.
-            lines.extend([f"t {v} {fam.kind._value_}" for v in fam.ids])
-    return "\n".join(lines) + "\n"
+            kind = fam.kind._value_
+            tags.append("t " + f" {kind}\nt ".join(names[fam.ids.start : stop]) + f" {kind}\n")
+    lines[0] = f"p da {n} {m}\n"
+    return "".join(lines + tags)
+
+
+def _joined_lines(members: list[str], above: list[str]) -> str:
+    """The edge lines from each of `members` to each of `above`, in order."""
+    if len(above) == 1:
+        w = above[0]
+        return "e " + f" {w}\ne ".join(members) + f" {w}\n"
+    parts = [repeat("e ")]
+    for w in above:
+        parts += [members, repeat(f" {w}\ne ")]
+    parts[-1] = repeat(f" {above[-1]}\n")
+    return "".join(chain.from_iterable(zip(*parts)))
 
 
 def parse_graph(text: str) -> Graph:
     """The graph of `text`.  A file in `write_graph`'s own layout is read in
-    bulk; any other text, and every text with an error, is read line by
-    line, which alone raises the `line N: ...` errors."""
+    bulk, its tag lines run by run; any other text (tag lines in another
+    order among it), and every text with an error, is read line by line,
+    which alone raises the `line N: ...` errors."""
     g = _parse_written(text)
     return _parse_lines(text) if g is None else g
 
@@ -508,9 +575,9 @@ def parse_graph(text: str) -> Graph:
 _HEAD = re.compile(r"(?:c(?:[\t ][\t -~]*)?\n)*p da ([0-9]+) ([0-9]+)\n", re.ASCII)
 _CHUNK = 4096  # lines per bulk step: the tokens of one step are held at once
 _EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n){1,%d}" % _CHUNK, re.ASCII)
-_TAGS = re.compile(r"(?:t [0-9]+ [a-z0-9-]+\n){1,%d}" % _CHUNK, re.ASCII)
-# Canonical spellings of the ids of small graphs, shared by every call.
-_SMALL_IDS = {str(v): v for v in range(1024)}
+# Up to `_CHUNK` tag lines of one name: the first id, and the name that a
+# backreference repeats.
+_TAG_RUN = re.compile(r"t ([0-9]+) ([a-z0-9-]+)\n(?:t [0-9]+ \2\n){0,%d}" % (_CHUNK - 1), re.ASCII)
 
 
 def _parse_written(text: str) -> Graph | None:
@@ -526,12 +593,11 @@ def _parse_written(text: str) -> Graph | None:
         n, m = int(head[1]), int(head[2])
     except ValueError:  # more digits than int() reads
         return None
-    ids = _SMALL_IDS if n <= len(_SMALL_IDS) else dict(zip(map(str, range(n)), range(n)))
+    names = _names(n)
+    ids = _SMALL_IDS if names is _SMALL_NAMES else dict(zip(names, range(n)))
     adj = [set() for _ in range(n)]
-    kinds = [RoleKind.ORIGINAL] * n
     pos = head.end()
-    edges = tag_lines = 0
-    tagged: set[int] = set()
+    edges = 0
     try:
         while block := _EDGES.match(text, pos):
             pos = block.end()
@@ -542,25 +608,50 @@ def _parse_written(text: str) -> Graph | None:
             for u, v in zip(us, vs):
                 adj[u].add(v)
                 adj[v].add(u)
-        while block := _TAGS.match(text, pos):
-            pos = block.end()
-            fields = text[block.start() : pos].split()
-            vs = list(map(ids.__getitem__, fields[1::3]))
-            tag_lines += len(vs)
-            tagged.update(vs)
-            for v, name in zip(vs, fields[2::3]):
-                kinds[v] = _KIND_BY_NAME[name]
-    except LookupError:  # an id spelled otherwise or >= n, or an unknown tag
+    except LookupError:  # an id spelled otherwise or >= n
         return None
-    # Another layout, an edge count off, or a repeated tag.  A repeated edge
-    # adds nothing to the degree sum and a self-loop one, not two, so with m
-    # edge lines the sum is 2m only if there is neither.
-    if pos != len(text) or edges != m or sum(map(len, adj)) != 2 * m or len(tagged) != tag_lines:
+    tags = _tag_runs(text, pos, n, names, ids)
+    if tags is None:
+        return None
+    runs, pos = tags
+    # Another layout or an edge count off.  A repeated edge adds nothing to
+    # the degree sum and a self-loop one, not two, so with m edge lines the
+    # sum is 2m only if there is neither.
+    if pos != len(text) or edges != m or sum(map(len, adj)) != 2 * m:
         return None
     # The sets hold the table's int objects; the table itself goes first.
     vertex_ids = list(islice(ids.values(), n))
-    del ids
-    return _parsed(vertex_ids, adj, kinds)
+    del ids, names
+    return _parsed(vertex_ids, adj, runs)
+
+
+def _tag_runs(
+    text: str, pos: int, n: int, names: list[str], ids: dict[str, int]
+) -> tuple[list[tuple[RoleKind, int]], int] | None:
+    """The (kind, count) runs of the tag lines from `pos` and the position
+    after them, when each run of equal tag names spells consecutive ids in
+    canonical form, above the last run and below n, as the writer puts
+    them; else None, and `_parse_lines` reads the text.  Each run costs
+    one id lookup and one comparison of its text with the text the writer
+    would give it."""
+    runs: list[tuple[RoleKind, int]] = []
+    top = 0  # the first id above the last run
+    while block := _TAG_RUN.match(text, pos):
+        first, name, stop = ids.get(block[1], -1), block[2], block.end()
+        count = text.count("\n", pos, stop)
+        kind = _KIND_BY_NAME.get(name)
+        if first < top or first + count > n or kind is None:
+            return None
+        written = "t " + f" {name}\nt ".join(names[first : first + count]) + f" {name}\n"
+        if not text.startswith(written, pos):
+            return None
+        if first > top:
+            runs.append((RoleKind.ORIGINAL, first - top))
+        runs.append((kind, count))
+        top, pos = first + count, stop
+    if top < n:
+        runs.append((RoleKind.ORIGINAL, n - top))
+    return runs, pos
 
 
 def _parse_lines(text: str) -> Graph:
@@ -615,17 +706,19 @@ def _parse_lines(text: str) -> Graph:
         raise ParseError("missing 'p da' header")
     if edge_lines != m:
         raise ParseError(f"header promises {m} edges, file has {edge_lines}")
-    return _parsed(range(n), [g._edges.get(v) or set() for v in range(n)], kinds)
+    runs = [(kind, len(list(run))) for kind, run in groupby(kinds)]
+    return _parsed(range(n), [g._edges.get(v) or set() for v in range(n)], runs)
 
 
-def _parsed(ids: Iterable[int], adj: list[set[int]], kinds: list[RoleKind]) -> Graph:
-    """The frozen graph of a parsed file, from its vertex ids and the
-    neighbour set and kind of each: one record per run of equal kinds, and
-    every edge explicit, so each vertex's set is its own `_edges` set."""
+def _parsed(ids: Iterable[int], adj: list[set[int]], runs: list[tuple[RoleKind, int]]) -> Graph:
+    """The frozen graph of a parsed file, from its vertex ids, the neighbour
+    set of each and the (kind, count) runs of its kinds in id order: one
+    record per run of equal kinds, and every edge explicit, so each
+    vertex's set is its own `_edges` set."""
     g = Graph()
-    for kind, run in groupby(kinds):
+    for kind, group in groupby(runs, itemgetter(0)):
+        count = sum([c for _, c in group])
         first = g._bounds[-1]
-        count = len(list(run))
         g._families.append(Family(range(first, first + count), kind, [None] * count, frozenset()))
         g._bounds.append(first + count)
     g._edges = dict(zip(ids, adj))

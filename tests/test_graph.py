@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import alliancelib
+from alliancelib import graph
 from alliancelib.errors import DuplicateEdge, FrozenGraph, ParseError, SelfLoop, UnknownVertex
 from alliancelib.graph import (
     Family,
@@ -725,6 +726,180 @@ def test_compiled_graphs_match_edge_by_edge_build(kind):
         assert back.n == g.n, case
         assert all(back.neighbors(v) == g.neighbors(v) for v in g.vertices()), case
         assert all(back.tag(v).kind is g.tag(v).kind for v in g.vertices()), case
+
+
+def _write_by_vertex(g):
+    """The writer as it was before it streamed from the records: every
+    vertex's sorted neighbours above it, one line at a time."""
+    lines = [""]
+    lines.extend([f"e {u} {v}" for u, nb in enumerate(g.adjacency()) for v in sorted(nb) if u < v])
+    lines[0] = f"p da {g.n} {len(lines) - 1}"
+    for fam in g.families():
+        if fam.kind is not RoleKind.ORIGINAL:
+            lines.extend([f"t {v} {fam.kind.value}" for v in fam.ids])
+    return "\n".join(lines) + "\n"
+
+
+def _assert_writes_as_by_vertex(g):
+    # First with no neighbour set kept, then with `adjacency()` kept.
+    text = write_graph(g)
+    assert text == _write_by_vertex(g)
+    assert write_graph(g) == text
+    return text
+
+
+_KINDS = [RoleKind.ORIGINAL, RoleKind.PENDANT, RoleKind.SQUARE, RoleKind.APEX, RoleKind.T_VERTEX]
+
+
+def _seeded_graph(rng):
+    """A graph built by a random mix of every construction path: list,
+    generator and whole or partial `range` joins, list and `Indexed`
+    payloads, added edges (at hosts and hosted members alike), isolated
+    families, and a clone extended further."""
+    g = Graph()
+    for step in range(rng.randint(0, 14)):
+        n = g.n
+        if step == 7 and rng.random() < 0.5:
+            g = g.clone()
+        if n >= 2 and rng.random() < 0.3:
+            u, v = rng.sample(range(n), 2)
+            if v not in g.neighbors(u):
+                g.add_edge(u, v)
+            continue
+        count = rng.choice([1, 2, 3, 7])
+        payloads = Indexed(("p",), count) if rng.random() < 0.4 else [None] * count
+        lo = rng.randint(0, n)
+        hosts = range(lo, rng.randint(lo, n))
+        shape = rng.random()
+        if shape < 0.3:
+            hosts = [h for h in hosts if rng.random() < 0.6]
+        elif shape < 0.45:
+            hosts = (h for h in list(hosts)[::-1])
+        g.add_family(rng.choice(_KINDS), payloads, join=hosts)
+    return g
+
+
+def test_write_graph_matches_the_per_vertex_writer_on_seeded_graphs():
+    rng = random.Random(25)
+    streamed = set()
+    for case in range(400):
+        g = _seeded_graph(rng)
+        streamed.add(any(f.joined for f in g.families()))
+        text = _assert_writes_as_by_vertex(g)
+        back = parse_graph(text)
+        assert _assert_writes_as_by_vertex(back) == text, case
+        # A comment after the header sends the text down the line-by-line path.
+        lines = text.split("\n", 1)
+        by_line = parse_graph(lines[0] + "\nc read line by line\n" + lines[1])
+        assert by_line == back and _assert_writes_as_by_vertex(by_line) == text, case
+        _assert_writes_as_by_vertex(build_graph(g.n, g.edges()))
+    assert streamed == {False, True}
+    assert write_graph(Graph()) == _write_by_vertex(Graph()) == "p da 0 0\n"
+    assert write_graph(build_graph(3, [])) == "p da 3 0\n"
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCTIONS))
+def test_write_graph_matches_the_per_vertex_writer_on_compiled_targets(kind):
+    red, rng = REDUCTIONS[kind], random.Random(f"writer-{kind}")
+    for _ in range(8):
+        inst = red.gen(rng, DEFAULT_MAX_N[kind])
+        if hasattr(inst, "graph"):
+            _assert_writes_as_by_vertex(inst.graph)
+        _assert_writes_as_by_vertex(red.compile(inst)[0].graph)
+
+
+def _same_parse(text):
+    """parse_graph gives what the line-by-line parser gives: an equal graph
+    with the same records, or a ParseError with the same message."""
+    try:
+        want = graph._parse_lines(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_graph(text)
+        assert str(got.value) == str(exc)
+        return None
+    g = parse_graph(text)
+    assert g == want and [(f.ids, f.kind) for f in g.families()] == [
+        (f.ids, f.kind) for f in want.families()
+    ]
+    return g
+
+
+def test_tag_runs_parse_as_line_by_line():
+    g = Graph()
+    g.add_vertices(3)
+    squares = g.add_family(RoleKind.SQUARE, [None] * 3, join=[0])
+    g.add_vertex()
+    g.add_family(RoleKind.PENDANT, [None] * 2, join=squares[:1])
+    text = write_graph(g)  # tags: squares 3..5, pendants 7..8
+    head, tags = text[: text.index("t ")], text[text.index("t ") :].splitlines(keepends=True)
+    assert len(tags) == 5
+    variants = [
+        tags,
+        tags[::-1],
+        [tags[1], tags[0], *tags[2:]],  # permuted within a run
+        [*tags, tags[0]],  # repeated
+        [tags[0], tags[2], *tags[3:]],  # a gap inside a run
+        [tags[0], "t 1 original\n", *tags[1:]],
+        ["t 0 original\n", "t 1 original\n", *tags],
+        [*tags[:3], "t 6 original\n", *tags[3:]],  # joins two original runs
+        [tags[0].replace("t 3", "t 003"), *tags[1:]],
+        [*tags[:4], tags[4].replace("t 8", "t 008")],
+        [*tags, "t 9 apex\n"],  # at n
+        [*tags, "t 90 apex\n"],
+        [tags[0].replace("square", "squares"), *tags[1:]],
+        [*tags[:3], "t 6 nonsense\n", *tags[3:]],
+        [*tags, "t 6 square\n"],  # a kind out of id order
+        ["t 2 square\n", *tags],  # a run that meets the next one
+    ]
+    for lines in variants:
+        _same_parse(head + "".join(lines))
+    assert _same_parse(head + "".join(tags)) == g
+    for n in (0, 1):
+        assert _same_parse(f"p da {n} 0\n").n == n
+    _same_parse("p da 1 0\nt 0 square\n")
+    _same_parse("p da 1 0\nt 1 square\n")
+
+
+def _refuse_parse_lines(*args):
+    raise AssertionError("a written graph fell back to the line-by-line reader")
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCTIONS))
+def test_written_targets_parse_back_by_the_run(kind, monkeypatch):
+    # A written target's tag lines are read run by run, to one record per
+    # run of equal kinds, and its text round-trips byte for byte.
+    monkeypatch.setattr(graph, "_parse_lines", _refuse_parse_lines)
+    red, rng = REDUCTIONS[kind], random.Random(f"tag-runs-{kind}")
+    for _ in range(8):
+        g = red.compile(red.gen(rng, DEFAULT_MAX_N[kind]))[0].graph
+        text = write_graph(g)
+        back = parse_graph(text)
+        kinds = [g.tag(v).kind for v in g.vertices()]
+        runs, first = [], 0
+        for k, run in itertools.groupby(kinds):
+            count = len(list(run))
+            runs.append((range(first, first + count), k))
+            first += count
+        assert [(f.ids, f.kind) for f in back.families()] == runs
+        assert write_graph(back) == text
+
+
+def test_a_tag_run_longer_than_a_bulk_step_is_one_record(monkeypatch):
+    monkeypatch.setattr(graph, "_parse_lines", _refuse_parse_lines)
+    g = Graph()
+    hub = g.add_vertex()
+    g.add_family(RoleKind.PENDANT, [None] * (2 * graph._CHUNK + 5), join=[hub])
+    g.add_family(RoleKind.PENDANT, [None] * 3, join=[hub])
+    g.add_family(RoleKind.APEX, [None], join=[hub])
+    text = write_graph(g)
+    back = parse_graph(text)
+    assert [(f.ids, f.kind) for f in back.families()] == [
+        (range(0, 1), RoleKind.ORIGINAL),
+        (range(1, g.n - 1), RoleKind.PENDANT),
+        (range(g.n - 1, g.n), RoleKind.APEX),
+    ]
+    assert back == g and write_graph(back) == text
 
 
 def test_graph_format_rejects():
