@@ -28,8 +28,6 @@ from .graph import (
     RoleKind,
     RoleTag,
     build_graph,
-    components_of_induced,
-    is_bipartite,
     is_star_forest_after_deletion,
     parse_graph,
     write_graph,

@@ -46,9 +46,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     members = parse_id_list(args.set, g.n)
     forbidden = parse_id_list(args.forbidden, g.n)
     protected = []
-    for v in sorted(members):
-        nb = g.neighbors(v)
-        deg, inside = len(nb), len(nb & members)
+    for v, deg, inside in g.degrees_in(members):
         outside = deg - inside
         protected.append(inside + 1 >= outside)
         status = "protected" if protected[-1] else "UNPROTECTED"

@@ -15,8 +15,7 @@ list, or an `Indexed` run `(*prefix, 0) ... (*prefix, count - 1)`, which
 builds no tuple per vertex), the hosts (a set, or the `range` given) and
 `joined`, the id ranges of later families joined to every member.  Roles
 are read from these records alone (`tag`, the writer's `t` lines, `==`,
-the gadget JSON), through `families()`; the parsers make one record per
-run of equal kinds.
+the gadget JSON), through `families()`.
 
 Vertex v is adjacent to the hosts and `joined` runs of its family, to its
 explicit neighbours `_edges[v]` (from `add_edge`, and every edge of a parsed
@@ -45,19 +44,20 @@ The text format is written and read by the run, too.  `write_graph` makes
 one pass over the records and builds no neighbour set for a member with no
 parts of its own: hosts are older ids, so above it are exactly its
 family's `joined` runs, and a run of such members gets its edge lines from
-one join over its id strings.  `parse_graph` reads the writer's layout in
-bulk, and its tag lines run by run, one record per run of equal kinds.
+one join over its id strings.  `parse_graph` inverts it: a tagged text of
+long tag runs is read back into family records run by run (`_read_runs`);
+an untagged text, or one whose tag runs are short, into one explicit set
+per vertex.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import chain, groupby, islice, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -383,6 +383,36 @@ class Graph:
         nb = self.neighbors(v)
         return len(nb & (s if isinstance(s, (set, frozenset)) else set(s)))
 
+    def degrees_in(self, s: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+        """(v, deg(v), |N(v) ∩ s|) for each v of s, in ascending order,
+        counted from v's parts with s sorted once: a run, or hosts given as
+        a `range`, by two bisections, a host set or v's own edges by one
+        set intersection.  No neighbour set is built, and no row is kept."""
+        inside = s if isinstance(s, (set, frozenset)) else set(s)
+        members = sorted(inside)
+        for v in members[:1] + members[-1:]:
+            self._check_vertex(v)
+
+        def count(runs: Iterable[range]) -> int:
+            return sum([bisect_left(members, r.stop) - bisect_left(members, r.start) for r in runs])
+
+        bounds, edges, links = self._bounds, self._edges, self._links
+        shared: dict[int, tuple[int, int]] = {}  # family index -> its counts
+        for v in members:
+            i = bisect_right(bounds, v) - 1
+            if i not in shared:
+                fam = self._families[i]
+                hosts = fam.hosts
+                near = count((hosts,)) if type(hosts) is range else len(inside.intersection(hosts))
+                shared[i] = (len(hosts) + sum(map(len, fam.joined)), near + count(fam.joined))
+            deg, near = shared[i]
+            own, runs = edges.get(v), links.get(v)
+            if own is not None:
+                deg, near = deg + len(own), near + len(inside.intersection(own))
+            if runs is not None:
+                deg, near = deg + sum(map(len, runs)), near + count(runs)
+            yield v, deg, near
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._bounds[-1]:
             raise UnknownVertex(f"vertex {v} not in graph of order {self.n}")
@@ -408,56 +438,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 # -- structural checks ----------------------------------------------------
-
-
-def is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """2-coloring of g, or None if an odd cycle exists.
-
-    Components are colored independently; side one contains each component's
-    lowest-id vertex, which makes the returned partition canonical.
-    """
-    color: list[int] = [-1] * g.n
-    adj = g.adjacency()
-    for start in g.vertices():
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    side1 = frozenset(v for v in g.vertices() if color[v] == 0)
-    side2 = frozenset(v for v in g.vertices() if color[v] == 1)
-    return side1, side2
-
-
-def components_of_induced(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
-    """Connected components of g[s], ordered by ascending minimum id."""
-    ss = set(s)
-    for v in ss:
-        g._check_vertex(v)
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for start in sorted(ss):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in ss and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def is_star_forest_after_deletion(g: Graph, deleted: Iterable[int]) -> bool:
@@ -534,17 +514,20 @@ def write_graph(g: Graph) -> str:
             if cut == len(s) - 1:
                 lines.append(f"e {v} {s[cut]}\n")
             elif cut < len(s):
-                head = f"e {v} "
-                lines.append(head + f"\n{head}".join(map(name_of, s[cut:])) + "\n")
+                lines.append(_lines(f"e {v} ", map(name_of, s[cut:]), "\n"))
             m += len(s) - cut
             start = v + 1
         i = j
         if fam.kind is not RoleKind.ORIGINAL:
             # `_value_` is the member's stored name; `.value` is a Python-level property.
-            kind = fam.kind._value_
-            tags.append("t " + f" {kind}\nt ".join(names[fam.ids.start : stop]) + f" {kind}\n")
+            tags.append(_lines("t ", names[fam.ids.start : stop], f" {fam.kind._value_}\n"))
     lines[0] = f"p da {n} {m}\n"
     return "".join(lines + tags)
+
+
+def _lines(head: str, ids: Iterable[str], tail: str) -> str:
+    """One line per id, in order: `head`, the id, then `tail`."""
+    return head + (tail + head).join(ids) + tail
 
 
 def _joined_lines(members: list[str], above: list[str]) -> str:
@@ -560,10 +543,21 @@ def _joined_lines(members: list[str], above: list[str]) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    """The graph of `text`.  A file in `write_graph`'s own layout is read in
-    bulk, its tag lines run by run; any other text (tag lines in another
-    order among it), and every text with an error, is read line by line,
-    which alone raises the `line N: ...` errors."""
+    """The graph of `text`.  A text in `write_graph`'s own layout is read in
+    bulk, and any other text, and every text with an error, line by line,
+    which alone raises the `line N: ...` errors.
+
+    The bulk reader takes one of two paths, by a property of the text that
+    the tag lines, which it reads first, give in O(1) steps.  A tagged
+    text with at most one run of tag names per `_SHORT_RUNS` (64) vertices
+    (a compiled target: pendants of a few hubs) is read back into family
+    records run by run, and builds a set only for an edge outside every
+    run (`_read_runs`).  A text without `t` lines (a solver input, a source
+    instance; a G(n, p) graph's forms about one edge line per run) or with
+    shorter tag runs (a gadget-dense target, as ds-circle's, whose clique
+    vertices each have edge lines in several short runs and a tag run of
+    three) is read into one explicit neighbour set per vertex, which is
+    kept as its adjacency (`_read_sets`)."""
     g = _parse_written(text)
     return _parse_lines(text) if g is None else g
 
@@ -575,17 +569,22 @@ def parse_graph(text: str) -> Graph:
 _HEAD = re.compile(r"(?:c(?:[\t ][\t -~]*)?\n)*p da ([0-9]+) ([0-9]+)\n", re.ASCII)
 _CHUNK = 4096  # lines per bulk step: the tokens of one step are held at once
 _EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n){1,%d}" % _CHUNK, re.ASCII)
+# The edge lines of one vertex, with every id in canonical form: the
+# vertex's, which a backreference repeats, and the first id above it.
+_GROUP = re.compile(r"e (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n(?:e \1 (?:0|[1-9][0-9]*)\n)*", re.ASCII)
 # Up to `_CHUNK` tag lines of one name: the first id, and the name that a
 # backreference repeats.
 _TAG_RUN = re.compile(r"t ([0-9]+) ([a-z0-9-]+)\n(?:t [0-9]+ \2\n){0,%d}" % (_CHUNK - 1), re.ASCII)
+_NO_HOSTS: frozenset[int] = frozenset()
+# `_read_runs` pays some Python steps per record, and at least one record
+# per run of tag names; a text with more than one such run per this many
+# vertices is read into explicit sets instead.
+_SHORT_RUNS = 64
 
 
 def _parse_written(text: str) -> Graph | None:
     """The graph of a text in `write_graph`'s layout, or None for any other
-    text or any error, which `_parse_lines` then reads (and reports).  Ids
-    are looked up by their canonical spelling ("007" misses), so every
-    endpoint of a vertex is the same int object; an id >= n misses the table
-    or fails to index the adjacency list."""
+    text or any error, which `_parse_lines` then reads (and reports)."""
     head = _HEAD.match(text)
     if head is None:
         return None
@@ -594,9 +593,36 @@ def _parse_written(text: str) -> Graph | None:
     except ValueError:  # more digits than int() reads
         return None
     names = _names(n)
+    tags = text.find("\nt ", head.end() - 1) + 1 or len(text)
+    kinds = _tag_runs(text, tags, n, names)
+    if kinds is None:
+        return None
+    if tags < len(text) and len(kinds) * _SHORT_RUNS <= n:
+        if text.count("\n", head.end(), tags) != m:
+            return None
+        return _read_runs(text, head.end(), tags, n, names, kinds)
     ids = _SMALL_IDS if names is _SMALL_NAMES else dict(zip(names, range(n)))
+    del names  # the id table keeps the strings
+    adj = _read_sets(text, head.end(), tags, n, m, ids)
+    if adj is None:
+        return None
+    # The sets hold the table's int objects; the table itself goes first.
+    vertex_ids = list(islice(ids.values(), n))
+    del ids
+    g = Graph()
+    for kind, t in kinds:
+        g.add_family(kind, repeat(None, t - g.n))
+    g._edges = dict(zip(vertex_ids, adj))
+    g._adj = adj
+    return g.freeze()
+
+
+def _read_sets(text: str, pos: int, stop: int, n: int, m: int, ids: dict[str, int]) -> list[set[int]] | None:
+    """The neighbour set of every vertex, from the edge lines from `pos`
+    to `stop`; or None.  Ids are looked up by their canonical spelling in
+    `ids` ("007" misses), so every endpoint of a vertex is the same int
+    object; an id >= n misses the table or fails to index the set list."""
     adj = [set() for _ in range(n)]
-    pos = head.end()
     edges = 0
     try:
         while block := _EDGES.match(text, pos):
@@ -610,48 +636,313 @@ def _parse_written(text: str) -> Graph | None:
                 adj[v].add(u)
     except LookupError:  # an id spelled otherwise or >= n
         return None
-    tags = _tag_runs(text, pos, n, names, ids)
-    if tags is None:
-        return None
-    runs, pos = tags
     # Another layout or an edge count off.  A repeated edge adds nothing to
     # the degree sum and a self-loop one, not two, so with m edge lines the
     # sum is 2m only if there is neither.
-    if pos != len(text) or edges != m or sum(map(len, adj)) != 2 * m:
+    if pos != stop or edges != m or sum(map(len, adj)) != 2 * m:
         return None
-    # The sets hold the table's int objects; the table itself goes first.
-    vertex_ids = list(islice(ids.values(), n))
-    del ids, names
-    return _parsed(vertex_ids, adj, runs)
+    return adj
 
 
-def _tag_runs(
-    text: str, pos: int, n: int, names: list[str], ids: dict[str, int]
-) -> tuple[list[tuple[RoleKind, int]], int] | None:
-    """The (kind, count) runs of the tag lines from `pos` and the position
-    after them, when each run of equal tag names spells consecutive ids in
-    canonical form, above the last run and below n, as the writer puts
-    them; else None, and `_parse_lines` reads the text.  Each run costs
-    one id lookup and one comparison of its text with the text the writer
-    would give it."""
+def _tag_runs(text: str, pos: int, n: int, names: list[str]) -> list[tuple[RoleKind, int]] | None:
+    """The (kind, stop) runs of the tag lines from `pos` to the end of the
+    text, each kind up to the id `stop`, when each run of equal tag names
+    spells consecutive ids in canonical form, above the last run and below
+    n, as the writer puts them; else None, and `_parse_lines` reads the
+    text.  Each run costs one comparison of its text with the text the
+    writer would give it."""
     runs: list[tuple[RoleKind, int]] = []
     top = 0  # the first id above the last run
     while block := _TAG_RUN.match(text, pos):
-        first, name, stop = ids.get(block[1], -1), block[2], block.end()
+        name, stop = block[2], block.end()
+        try:
+            first = int(block[1])
+        except ValueError:  # more digits than int() reads
+            return None
         count = text.count("\n", pos, stop)
         kind = _KIND_BY_NAME.get(name)
         if first < top or first + count > n or kind is None:
             return None
-        written = "t " + f" {name}\nt ".join(names[first : first + count]) + f" {name}\n"
-        if not text.startswith(written, pos):
+        if not text.startswith(_lines("t ", names[first : first + count], f" {name}\n"), pos):
             return None
         if first > top:
-            runs.append((RoleKind.ORIGINAL, first - top))
-        runs.append((kind, count))
+            runs.append((RoleKind.ORIGINAL, first))
+        if runs and runs[-1][0] is kind:
+            runs.pop()
+        runs.append((kind, first + count))
         top, pos = first + count, stop
+    if pos != len(text):
+        return None
     if top < n:
-        runs.append((RoleKind.ORIGINAL, n - top))
-    return runs, pos
+        runs.append((RoleKind.ORIGINAL, n))
+    return runs
+
+
+def _read_runs(
+    text: str, pos: int, stop: int, n: int, names: list[str], kinds: list[tuple[RoleKind, int]]
+) -> Graph | None:
+    """The graph of the edge lines from `pos` to `stop` of a tagged text,
+    rebuilt as family records, or None if they are not as the writer puts
+    them: one group of lines per vertex u, in id order, each spelling u's
+    neighbours above it in ascending order and canonical form.
+
+    A group is read by the run: where its ids count up by one, one
+    comparison of its text with the writer's join confirms it.  Vertices
+    whose groups repeat one list of ids above them (pendants under a hub,
+    say) are a shared block: one comparison with `_joined_lines` confirms
+    it whole, and its runs become the `joined` of its record.  Any other
+    group is a vertex with parts of its own (a hub, a square, a clique
+    vertex): each run of two or more ids becomes a `range` in `_links[u]`,
+    and an id alone an explicit edge, in `_edges` at both ends.
+
+    The members of a run or block host it.  A sweep over the runs'
+    boundaries, each known once the groups below it are read, gives every
+    other vertex its hosts, and a record is split where the kind, the
+    hosts or the list above change.  A vertex with parts of its own keeps
+    its hub hosts in its `_edges` instead, so that it shares the record
+    before it.  One record is thus read in a few Python steps, and a set
+    is built only for a vertex with parts of its own or an edge alone."""
+    g = Graph()
+    fams, edges, links = g._families, g._edges, g._links
+    owners: dict[int, list] = {}  # an id -> the hosts whose runs start or stop there
+    marks: list[int] = []  # a heap of the ids in `owners`, and of some already passed
+    hubs: dict[int, None] = {}  # the hosts of the current vertex: hub ids,
+    blocks: dict[range, None] = {}  # and the id ranges of blocks
+    above: tuple[range, ...] = ()  # the runs above the last block
+    above_names: list[str] = []
+    kinds_left = iter(kinds)
+    kind, kind_stop = next(kinds_left)
+
+    def host(owner, runs):
+        for run in runs:
+            for at in (run.start, run.stop):
+                if at in owners:
+                    owners[at].append(owner)
+                else:
+                    owners[at] = [owner]
+                    heappush(marks, at)
+
+    def toggle(v):
+        # A host's runs are maximal, so none of them meets another: each id
+        # toggles each of its hosts once.  Whether a block host moved.
+        moved = False
+        for owner in owners.pop(v):
+            if type(owner) is int:
+                if hubs.pop(owner, True) is not None:
+                    hubs[owner] = None
+            else:
+                moved = True
+                if blocks.pop(owner, True) is not None:
+                    blocks[owner] = None
+        return moved
+
+    def record(v, t, hosts, joined):
+        last = fams[-1] if fams else None
+        if last is not None and last.kind is kind and last.joined == joined and last.hosts == hosts:
+            last.ids = range(last.ids.start, t)
+        else:
+            fams.append(Family(range(v, t), kind, None, hosts, joined))
+
+    v = 0
+    group = None  # the edge lines of v, when already read
+    while v < n:
+        if v == kind_stop:
+            kind, kind_stop = next(kinds_left)
+        if v in owners:
+            toggle(v)
+        if group is None:
+            head = f"e {names[v]} "
+            if not text.startswith(head, pos):
+                # No edge line above v, nor above the vertices up to the
+                # next group's: members, one record per change of hosts or
+                # kind.
+                t = n
+                if pos < stop:
+                    try:
+                        t = int(text[pos + 2 : text.index(" ", pos + 2)])
+                    except ValueError:
+                        return None
+                    if t <= v:
+                        return None
+                while True:
+                    end = _next(marks, v, min(t, kind_stop))
+                    record(v, end, _hosts(hubs, blocks), ())
+                    v = end
+                    if v == t or v == kind_stop:
+                        break
+                    toggle(v)
+                continue
+            if above and text.startswith(f"{head}{above_names[0]}\n", pos):
+                block = _block(text, pos, v, min(_next(marks, v, kind_stop), above[0].start), names, above_names)
+                if block:
+                    t, pos = block
+                    host(range(v, t), above)
+                    record(v, t, _hosts(hubs, blocks), above)
+                    v = t
+                    continue
+            group = _group(text, pos, v, head, n, names)
+            if group is None:
+                return None
+        runs, ids, after = group
+        group = None
+        if v + 1 < runs[0].start and text.startswith(f"e {names[v + 1]} {ids[0]}\n", after):
+            block = _block(text, pos, v, min(_next(marks, v, kind_stop), runs[0].start), names, ids)
+            if block:
+                t, pos = block
+                above, above_names = tuple(runs), ids
+                host(range(v, t), above)
+                record(v, t, _hosts(hubs, blocks), above)
+                v = t
+                continue
+        # v and the vertices after it have parts of their own, up to the
+        # next member, block or kind: one record, whose hosts are their
+        # block hosts, while their hub hosts go to their own edges.
+        first, own_hosts = v, _hosts({}, blocks)
+        while True:
+            pos = after
+            spans = [run for run in runs if len(run) > 1]
+            if spans:
+                links[v] = tuple(spans)
+                host(v, spans)
+            if len(spans) < len(runs):
+                _add_edges(edges, v, [run.start for run in runs if len(run) == 1])
+            if hubs:
+                _add_edges(edges, v, hubs, both=False)
+            v += 1
+            if v == n or v == kind_stop or v in owners and toggle(v):
+                break
+            head = f"e {names[v]} "
+            if not text.startswith(head, pos) or above and text.startswith(f"{head}{above_names[0]}\n", pos):
+                break
+            group = _group(text, pos, v, head, n, names)
+            if group is None:
+                return None
+            runs, ids, after = group
+            if v + 1 < runs[0].start and text.startswith(f"e {names[v + 1]} {ids[0]}\n", after):
+                break  # v may start a block: the outer loop reads on from its group
+            group = None
+        record(first, v, own_hosts, ())
+    if pos != stop:
+        return None
+    for fam in fams:
+        fam.payloads = [None] * len(fam.ids)
+    g._bounds.extend([fam.ids.stop for fam in fams])
+    return g.freeze()
+
+
+def _next(marks: list[int], v: int, stop: int) -> int:
+    """The first id in the heap `marks` above v, or `stop` if that comes
+    first.  v only grows, so the ids up to v are dropped for good."""
+    while marks and marks[0] <= v:
+        heappop(marks)
+    return marks[0] if marks and marks[0] < stop else stop
+
+
+def _hosts(hubs: dict[int, None], blocks: dict[range, None]) -> range | frozenset[int]:
+    """The union of the hub ids and block ranges that host a vertex: a
+    `range` where it is one, else a set."""
+    if not blocks:
+        if len(hubs) < 2:
+            return range(next(iter(hubs)), next(iter(hubs)) + 1) if hubs else _NO_HOSTS
+        lo, hi = min(hubs), max(hubs)
+        return range(lo, hi + 1) if hi - lo + 1 == len(hubs) else frozenset(hubs)
+    spans = sorted([*[(h, h + 1) for h in hubs], *[(b.start, b.stop) for b in blocks]])
+    if all(a[1] == b[0] for a, b in zip(spans, spans[1:])):
+        return range(spans[0][0], spans[-1][1])
+    return frozenset(chain.from_iterable([range(*span) for span in spans]))
+
+
+def _group(text: str, pos: int, v: int, head: str, n: int, names: list[str]) -> tuple | None:
+    """The runs of v's edge lines at `pos`, their ids' spellings and the
+    position after them, if the lines spell ascending canonical ids above
+    v and below n; else None.  A group whose ids count up by one is
+    confirmed by one comparison, without splitting its lines."""
+    group = _GROUP.match(text, pos)
+    if group is None:
+        return None
+    after = group.end()
+    try:
+        first = int(group[2])
+        last = int(text[text.rfind(" ", pos, after - 1) + 1 : after - 1])
+    except ValueError:  # more digits than int() reads
+        return None
+    if not v < first <= last < n:
+        return None
+    if last - first + 1 == text.count("\n", pos, after):
+        ids = names[first : last + 1]
+        if not text.startswith(_lines(head, ids, "\n"), pos):
+            return None
+        return [range(first, last + 1)], ids, after
+    ids = text[pos:after].split()[2::3]
+    ws = list(map(int, ids))
+    runs, start = [], first
+    for w, up in zip(ws, islice(ws, 1, None)):
+        if up != w + 1:
+            if up <= w:
+                return None
+            runs.append(range(start, w + 1))
+            start = up
+    runs.append(range(start, last + 1))
+    return runs, ids, after
+
+
+def _block(
+    text: str, pos: int, v: int, cap: int, names: list[str], above: list[str]
+) -> tuple[int, int] | None:
+    """The end t <= cap of the block of vertices from v whose edge lines at
+    `pos` are `_joined_lines(names[v:t], above)`, and the position after
+    them; None when t would be v.  Only the last member's group can go on
+    past `above`, and then that member is not in the block."""
+    if cap <= v:
+        return None
+    t, length = _longest(text, pos, v, cap, lambda t: _joined_lines(names[v:t], above))
+    if t > v and text.startswith(f"e {names[t - 1]} ", pos + length):
+        t -= 1
+        length = len(_joined_lines(names[v:t], above)) if t > v else 0
+    return (t, pos + length) if t > v else None
+
+
+def _longest(text: str, pos: int, good: int, bad: int, lines_of) -> tuple[int, int]:
+    """The largest t <= bad such that the text at `pos` starts with
+    `lines_of(t)`, given that it does for `good`, and the length of those
+    lines (0 for `good`).  `bad` itself is tried first, as the writer's runs
+    mostly end where a record or a section does; a shorter run is found by
+    doubling from `good` and then halving."""
+    lines = lines_of(bad)
+    if text.startswith(lines, pos):
+        return bad, len(lines)
+    first, length, t = good, 0, good + 1
+    while t < bad:
+        lines = lines_of(t)
+        if not text.startswith(lines, pos):
+            bad = t
+            break
+        good, length, t = t, len(lines), first + 2 * (t - first)
+    while good + 1 < bad:
+        t = (good + bad) // 2
+        lines = lines_of(t)
+        if text.startswith(lines, pos):
+            good, length = t, len(lines)
+        else:
+            bad = t
+    return good, length
+
+
+def _add_edges(edges: dict[int, set[int]], v: int, ws: Iterable[int], both: bool = True) -> None:
+    """Add explicit edges from v to each of `ws`: at both ends, or at v alone
+    where each w has the edge in its parts already."""
+    own = edges.get(v)
+    if own is None:
+        edges[v] = set(ws)
+    else:
+        own.update(ws)
+    if both:
+        for w in ws:
+            other = edges.get(w)
+            if other is None:
+                edges[w] = {v}
+            else:
+                other.add(v)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -706,23 +997,12 @@ def _parse_lines(text: str) -> Graph:
         raise ParseError("missing 'p da' header")
     if edge_lines != m:
         raise ParseError(f"header promises {m} edges, file has {edge_lines}")
-    runs = [(kind, len(list(run))) for kind, run in groupby(kinds)]
-    return _parsed(range(n), [g._edges.get(v) or set() for v in range(n)], runs)
-
-
-def _parsed(ids: Iterable[int], adj: list[set[int]], runs: list[tuple[RoleKind, int]]) -> Graph:
-    """The frozen graph of a parsed file, from its vertex ids, the neighbour
-    set of each and the (kind, count) runs of its kinds in id order: one
-    record per run of equal kinds, and every edge explicit, so each
-    vertex's set is its own `_edges` set."""
-    g = Graph()
-    for kind, group in groupby(runs, itemgetter(0)):
-        count = sum([c for _, c in group])
-        first = g._bounds[-1]
-        g._families.append(Family(range(first, first + count), kind, [None] * count, frozenset()))
+    # One record per run of equal kinds, every edge explicit.
+    g._families, g._bounds = [], [0]
+    for kind, run in groupby(kinds):
+        first, count = g._bounds[-1], len(list(run))
+        g._families.append(Family(range(first, first + count), kind, [None] * count, _NO_HOSTS))
         g._bounds.append(first + count)
-    g._edges = dict(zip(ids, adj))
-    g._adj = adj
     return g.freeze()
 
 

@@ -29,7 +29,6 @@ from alliancelib.circle import (
 from alliancelib.generators import gen_daf, gen_ds_circle, gen_mrss, gen_rbds, gen_vc
 from alliancelib.graph import (
     build_graph,
-    is_bipartite,
     is_star_forest_after_deletion,
     write_graph,
 )
@@ -56,6 +55,8 @@ from alliancelib.reductions import (
     write_rbds,
     write_vc,
 )
+
+from graph_checks import is_bipartite
 
 FIG1 = MRSSInstance(k=2, vectors=((2, 1), (1, 1), (1, 2)), target=(3, 3), kprime=2)
 FIG3 = RBDSInstance(n_terminals=2, n_sources=2, edges=((0, 0), (1, 0), (1, 1)), k=1)

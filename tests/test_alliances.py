@@ -20,7 +20,9 @@ from alliancelib.alliances import (
     solve_da,
 )
 from alliancelib.errors import TooLarge, UnknownVertex
-from alliancelib.graph import build_graph, components_of_induced
+from alliancelib.graph import build_graph
+
+from graph_checks import components_of_induced
 
 
 def cycle(n):

@@ -17,14 +17,14 @@ from alliancelib.graph import (
     RoleKind,
     RoleTag,
     build_graph,
-    components_of_induced,
-    is_bipartite,
     is_star_forest_after_deletion,
     parse_graph,
     write_graph,
 )
 from alliancelib.harness import DEFAULT_MAX_N
 from alliancelib.kinds import REDUCTIONS
+
+from graph_checks import components_of_induced, is_bipartite
 
 
 def cycle(n):
@@ -798,6 +798,23 @@ def test_write_graph_matches_the_per_vertex_writer_on_seeded_graphs():
     assert write_graph(build_graph(3, [])) == "p da 3 0\n"
 
 
+def test_degrees_in_counts_as_the_neighbour_sets(monkeypatch):
+    # Built, parsed by the run, by the set and line by line: the ledger of
+    # `alliance check` from the records equals the one from N(v).
+    rng = random.Random(26)
+    for case in range(300):
+        g = _seeded_graph(rng).freeze()
+        text = write_graph(g)
+        by_sets = parse_graph(text)
+        monkeypatch.setattr(graph, "_SHORT_RUNS", 0)
+        by_runs = parse_graph(text)
+        monkeypatch.undo()
+        for h in (g, by_runs, by_sets, parse_graph(text.replace("\n", "\nc\n", 1))):
+            s = frozenset(v for v in range(h.n) if rng.random() < 0.4)
+            expected = [(v, len(h.neighbors(v)), len(h.neighbors(v) & s)) for v in sorted(s)]
+            assert list(h.degrees_in(s)) == list(h.degrees_in(list(s))) == expected, case
+
+
 @pytest.mark.parametrize("kind", sorted(REDUCTIONS))
 def test_write_graph_matches_the_per_vertex_writer_on_compiled_targets(kind):
     red, rng = REDUCTIONS[kind], random.Random(f"writer-{kind}")
@@ -808,9 +825,22 @@ def test_write_graph_matches_the_per_vertex_writer_on_compiled_targets(kind):
         _assert_writes_as_by_vertex(red.compile(inst)[0].graph)
 
 
+def _roles(g):
+    return [g.tag(v) for v in g.vertices()]
+
+
+def _same_graph(back, g):
+    """A parsed graph has the compiled graph's edges and each vertex's
+    kind; the text format carries no payloads."""
+    return back.adjacency() == g.adjacency() and [back.tag(v).kind for v in back.vertices()] == [
+        g.tag(v).kind for v in g.vertices()
+    ]
+
+
 def _same_parse(text):
     """parse_graph gives what the line-by-line parser gives: an equal graph
-    with the same records, or a ParseError with the same message."""
+    with the same role at every vertex, or a ParseError with the same
+    message."""
     try:
         want = graph._parse_lines(text)
     except ParseError as exc:
@@ -819,9 +849,7 @@ def _same_parse(text):
         assert str(got.value) == str(exc)
         return None
     g = parse_graph(text)
-    assert g == want and [(f.ids, f.kind) for f in g.families()] == [
-        (f.ids, f.kind) for f in want.families()
-    ]
+    assert g == want and _roles(g) == _roles(want)
     return g
 
 
@@ -867,22 +895,15 @@ def _refuse_parse_lines(*args):
 
 @pytest.mark.parametrize("kind", sorted(REDUCTIONS))
 def test_written_targets_parse_back_by_the_run(kind, monkeypatch):
-    # A written target's tag lines are read run by run, to one record per
-    # run of equal kinds, and its text round-trips byte for byte.
+    # A written target is read in bulk, back into an equal graph with the
+    # same role at every vertex, and its text round-trips byte for byte.
     monkeypatch.setattr(graph, "_parse_lines", _refuse_parse_lines)
     red, rng = REDUCTIONS[kind], random.Random(f"tag-runs-{kind}")
     for _ in range(8):
         g = red.compile(red.gen(rng, DEFAULT_MAX_N[kind]))[0].graph
         text = write_graph(g)
         back = parse_graph(text)
-        kinds = [g.tag(v).kind for v in g.vertices()]
-        runs, first = [], 0
-        for k, run in itertools.groupby(kinds):
-            count = len(list(run))
-            runs.append((range(first, first + count), k))
-            first += count
-        assert [(f.ids, f.kind) for f in back.families()] == runs
-        assert write_graph(back) == text
+        assert _same_graph(back, g) and write_graph(back) == text
 
 
 def test_a_tag_run_longer_than_a_bulk_step_is_one_record(monkeypatch):
@@ -899,7 +920,20 @@ def test_a_tag_run_longer_than_a_bulk_step_is_one_record(monkeypatch):
         (range(1, g.n - 1), RoleKind.PENDANT),
         (range(g.n - 1, g.n), RoleKind.APEX),
     ]
-    assert back == g and write_graph(back) == text
+    assert back == g and _roles(back) == _roles(g) and write_graph(back) == text
+
+
+def test_a_parsed_target_keeps_few_explicit_sets(monkeypatch):
+    # FIG1's target has 51,676 vertices, almost all pendants under a few
+    # hubs; read back, it holds an explicit neighbour set only for the
+    # vertices with edges of their own, not one per vertex.
+    monkeypatch.setattr(graph, "_parse_lines", _refuse_parse_lines)
+    fig1 = REDUCTIONS["mrss"].parse("mrss 2 3 2\n3 3\n2 1\n1 1\n1 2\n")
+    g = REDUCTIONS["mrss"].compile(fig1)[0].graph
+    text = write_graph(g)
+    back = parse_graph(text)
+    assert back.n == 51676 and len(back._edges) < 1000 and len(back.families()) < 1000
+    assert _same_graph(back, g) and write_graph(back) == text
 
 
 def test_graph_format_rejects():

@@ -2,7 +2,7 @@ import pytest
 
 from alliancelib.alliances import is_defensive_alliance
 from alliancelib.errors import InvalidInstance, ParseError, TooLarge
-from alliancelib.graph import RoleKind, is_bipartite, is_star_forest_after_deletion, write_graph
+from alliancelib.graph import RoleKind, is_star_forest_after_deletion, write_graph
 from alliancelib.reductions import (
     MRSSInstance,
     mrss_extract_certificate,
@@ -12,6 +12,8 @@ from alliancelib.reductions import (
     solve_mrss_bruteforce,
     write_mrss,
 )
+
+from graph_checks import is_bipartite
 
 FIG1 = MRSSInstance(k=2, vectors=((2, 1), (1, 1), (1, 2)), target=(3, 3), kprime=2)
 

@@ -361,3 +361,198 @@ def test_bulk_reader_across_chunks():
         lines[:-1],
     ):
         assert not _assert_same_as_line_reader("\n".join(bad) + "\n")
+
+
+# -- differential: the run reader on written targets --------------------------
+
+KINDS = [RoleKind.ORIGINAL, RoleKind.PENDANT, RoleKind.SQUARE, RoleKind.APEX, RoleKind.HUB_H]
+
+
+@pytest.fixture(params=["runs", "sets"])
+def tagged_path(request, monkeypatch):
+    """Send every tagged text in `write_graph`'s layout down one bulk path:
+    `_read_runs`, or the explicit sets that `parse_graph` keeps for texts
+    of short tag runs."""
+    monkeypatch.setattr(graph, "_SHORT_RUNS", 0 if request.param == "runs" else 1 << 62)
+    return request.param
+
+
+def _record_graph(rng):
+    """A tagged graph built family by family: list joins and whole or
+    partial `range` joins (hub runs and shared blocks), families of up to
+    40 members, edges added at hosts and hosted members alike, and tags."""
+    g = Graph()
+    for _ in range(rng.randint(1, 12)):
+        n = g.n
+        if n >= 2 and rng.random() < 0.25:
+            for _ in range(rng.randint(1, 4)):
+                u, v = rng.sample(range(n), 2)
+                if v not in g.neighbors(u):
+                    g.add_edge(u, v)
+            continue
+        count = rng.choice([1, 2, 3, 7, 40])
+        lo = rng.randint(0, n)
+        hosts = range(lo, rng.randint(lo, min(n, lo + 6)))
+        if rng.random() < 0.4:
+            hosts = [h for h in range(n) if rng.random() < 0.2]
+        g.add_family(rng.choice(KINDS), [None] * count, join=hosts)
+    g.add_family(RoleKind.APEX, [None], join=range(rng.randint(0, g.n), g.n))
+    return g.freeze()
+
+
+def _one_name_apart(text):
+    """Whether two tag lines in a row share a name but not consecutive ids,
+    as where two families of one kind have an `original` one between them;
+    the bulk reader leaves such texts to the line reader."""
+    tags = [line.split()[1:] for line in text.splitlines() if line.startswith("t ")]
+    return any(a[1] == b[1] and int(a[0]) + 1 != int(b[0]) for a, b in zip(tags, tags[1:]))
+
+
+def test_run_reader_reads_record_built_graphs(tagged_path):
+    rng = random.Random(26)
+    bulk = 0
+    for case in range(300):
+        text = write_graph(_record_graph(rng))
+        taken = _assert_same_as_line_reader(text)
+        assert taken or _one_name_apart(text), case
+        assert write_graph(parse_graph(text)) == text, case
+        bulk += taken
+    assert bulk >= 150
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCTIONS))
+def test_run_reader_reads_compiled_targets(kind, tagged_path):
+    red, rng = REDUCTIONS[kind], random.Random(f"run-reader-{kind}")
+    for case in range(6):
+        text = write_graph(red.compile(red.gen(rng, 4))[0].graph)
+        assert _assert_same_as_line_reader(text), case
+        assert write_graph(parse_graph(text)) == text, case
+
+
+def test_run_reader_reads_runs_longer_than_a_bulk_step(tagged_path):
+    # A hub run, a shared block and a tag run, each of more than `_CHUNK`
+    # lines, and a second hub joined to part of the block.
+    big = 2 * graph._CHUNK + 3
+    g = Graph()
+    hub = g.add_vertex()
+    pendants = g.add_family(RoleKind.PENDANT, [None] * big, join=[hub])
+    g.add_family(RoleKind.APEX, [None], join=pendants)
+    g.add_family(RoleKind.APEX, [None], join=pendants[: graph._CHUNK + 1])
+    text = write_graph(g.freeze())
+    back = parse_graph(text)
+    assert _assert_same_as_line_reader(text) and write_graph(back) == text
+    if tagged_path == "runs":
+        assert len(back.families()) <= 5 and not back._edges
+
+
+def _edge_runs(lines):
+    """The runs of `e` lines: (first line index, length, u) of each maximal
+    stretch of one vertex's lines whose ids count up by one."""
+    runs = []
+    for i, line in enumerate(lines):
+        if not line.startswith("e "):
+            continue
+        u, w = map(int, line.split()[1:])
+        if runs and runs[-1][2] == u and i == runs[-1][0] + runs[-1][1] and w == runs[-1][3] + 1:
+            first, length, _, _ = runs[-1]
+            runs[-1] = (first, length + 1, u, w)
+        else:
+            runs.append((i, 1, u, w))
+    return [(first, length, u) for first, length, u, _ in runs]
+
+
+def _with_header(lines, dn=0, dm=0):
+    _, _, n, m = lines[0].split()
+    return [f"p da {int(n) + dn} {int(m) + dm}", *lines[1:]]
+
+
+def _mutants(text, rng):
+    """Edits of a written text at its runs and shared blocks."""
+    lines = text.splitlines()
+    n = int(lines[0].split()[2])
+    runs = _edge_runs(lines)
+    long_runs = [r for r in runs if r[1] >= 3] or [r for r in runs if r[1] >= 2]
+    out = []
+    for first, length, u in rng.sample(long_runs, min(3, len(long_runs))):
+        i = first + rng.randrange(1, length)  # a line inside the run
+        w = int(lines[i].split()[2])
+        for new in (w - 1, w + 1, w + length, n - 1, n):  # one id changed inside a run
+            out.append(lines[:i] + [f"e {u} {new}"] + lines[i + 1 :])
+        out.append(lines[:i] + [f"e {u} 0{w}"] + lines[i + 1 :])  # a zero-padded id
+        out.append(lines[:i] + [f"e 0{u} {w}"] + lines[i + 1 :])
+        dropped = lines[:i] + lines[i + 1 :]  # a line dropped inside a run
+        out += [dropped, _with_header(dropped, dm=-1)]
+        repeated = lines[: i + 1] + lines[i:]  # a line repeated inside a run
+        out += [repeated, _with_header(repeated, dm=1)]
+        last = first + length  # the run pushed past n
+        pushed = lines[:last] + [f"e {u} {w + length - (i - first) + k}" for k in range(3)] + lines[last:]
+        out += [_with_header(pushed, dm=3), _with_header(lines, dn=-1)]
+    for (a, la, u), (b, lb, v) in zip(runs, runs[1:]):
+        if u == v and la >= 2 and lb >= 2:  # a hub's two runs merged
+            start = int(lines[a + la - 1].split()[2]) + 1
+            merged = [f"e {u} {start + k}" for k in range(lb)]
+            out.append(lines[:b] + merged + lines[b + lb :])
+            break
+    groups = {}
+    for i, line in enumerate(lines):
+        if line.startswith("e "):
+            groups.setdefault(line.split()[1], []).append(i)
+    for u, rows in groups.items():
+        w_list = [lines[i].split()[2] for i in rows]
+        nxt = groups.get(str(int(u) + 1))
+        if nxt and [lines[i].split()[2] for i in nxt] == w_list:  # a shared block
+            i, j = rows[0], nxt[-1]
+            swapped = list(lines)
+            swapped[i], swapped[j] = swapped[j], swapped[i]  # lines of one block swapped
+            out.append(swapped)
+            if len(rows) > 1:
+                swapped = list(lines)
+                swapped[rows[0]], swapped[rows[1]] = swapped[rows[1]], swapped[rows[0]]
+                out.append(swapped)
+            break
+    return ["\n".join(lines) + "\n" for lines in out]
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCTIONS))
+def test_mutated_targets_read_as_line_by_line(kind, tagged_path):
+    red, rng = REDUCTIONS[kind], random.Random(f"run-mutants-{kind}")
+    # One or two vectors already give an mrss target of thousands of vertices.
+    texts, max_n = (2, 2) if kind == "mrss" else (4, 4)
+    taken = 0
+    for _ in range(texts):
+        text = write_graph(red.compile(red.gen(rng, max_n))[0].graph)
+        for mutant in _mutants(text, rng):
+            taken += _assert_same_as_line_reader(mutant)
+    assert taken  # some edits keep the writer's layout and stay on the run reader
+
+
+def test_mutated_record_built_graphs_read_as_line_by_line(tagged_path):
+    rng = random.Random(2026)
+    for _ in range(60):
+        for mutant in _mutants(write_graph(_record_graph(rng)), rng):
+            _assert_same_as_line_reader(mutant)
+
+
+def test_texts_of_short_tag_runs_are_read_into_sets():
+    # One tag run per `_SHORT_RUNS` vertices stays on the run reader; one
+    # more run sends the text to explicit sets, one per vertex.
+    for runs, sets in ((4, False), (5, True)):
+        g = Graph()
+        hub = g.add_vertex()
+        for i in range(runs - 2):
+            g.add_family(RoleKind.PENDANT if i % 2 else RoleKind.SQUARE, [None] * 64, join=[hub])
+        g.add_family(RoleKind.APEX, [None] * (4 * 64 - g.n), join=[hub])
+        text = write_graph(g.freeze())
+        back = parse_graph(text)
+        assert back == _parse_lines(text) and write_graph(back) == text
+        assert (len(back._edges) == back.n) is sets
+
+
+def test_run_reader_reads_runs_that_start_ever_lower():
+    # Each vertex v below n/3 hosts the run n-2v-2, n-2v-1, so every new run
+    # boundary lies below all the boundaries read before it.
+    n = 3000
+    lines = [f"e {v} {w}" for v in range((n - 2) // 3) for w in (n - 2 * v - 2, n - 2 * v - 1)]
+    text = "\n".join([f"p da {n} {len(lines)}", *lines, f"t {n - 1} apex"]) + "\n"
+    assert _assert_same_as_line_reader(text)
+    assert write_graph(parse_graph(text)) == text
